@@ -137,15 +137,11 @@ def _cmd_fit(args) -> int:
         data_doc = json.load(fh)
     with open(args.prior) as fh:
         prior_doc = json.load(fh)
-    _require(dict(data_doc), ("y", "X", "P"), "data") if "P" in data_doc else _require(
-        dict(data_doc), ("y", "X"), "data"
-    )
-    _require(prior_doc, ("mu0", "Lambda0", "a0", "b0"), "prior")
-    y = np.atleast_1d(data_doc["y"])
-    X = np.atleast_2d(data_doc["X"])
     default_p = "P" not in data_doc
-    P = SpdMatrix.identity(X.shape[0]) if default_p else SpdMatrix(np.atleast_2d(data_doc["P"]))
-    dataset = GlmDataset(y=y, X=X, P=P)
+    _require(dict(data_doc), ("y", "X") if default_p else ("y", "X", "P"), "data")
+    _require(prior_doc, ("mu0", "Lambda0", "a0", "b0"), "prior")
+    P = None if default_p else SpdMatrix(np.atleast_2d(data_doc["P"]))
+    dataset = GlmDataset(y=np.atleast_1d(data_doc["y"]), X=np.atleast_2d(data_doc["X"]), P=P)
     prior = NormalGammaParams(mu=np.atleast_1d(prior_doc["mu0"]),
                               lam=SpdMatrix(np.atleast_2d(prior_doc["Lambda0"])),
                               shape=prior_doc["a0"], rate=prior_doc["b0"])

@@ -182,8 +182,7 @@ def simulate_polynomial(config: PolySweepConfig, replication: int) -> GlmDataset
     )
     x = equally_spaced(config.n_points)
     y = build_poly_design(x, config.p_true) @ beta + noise
-    return GlmDataset(y=y, X=build_poly_design(x, config.p_true),
-                      P=SpdMatrix.identity(config.n_points))
+    return GlmDataset(y=y, X=build_poly_design(x, config.p_true))
 
 
 def _standard_prior(p: int) -> NormalGammaParams:
@@ -197,12 +196,11 @@ def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
     orders = np.arange(config.p_min, config.p_max + 1)
     x = equally_spaced(config.n_points)
     designs = [build_poly_design(x, int(p)) for p in orders]
-    noise_precision = SpdMatrix.identity(config.n_points)
     sums = np.zeros((3, len(orders)))
     for rep in range(config.n_simulations):
         data = simulate_polynomial(config, rep)
         for idx, (order, X) in enumerate(zip(orders, designs)):
-            dataset = GlmDataset(y=data.y, X=X, P=noise_precision)
+            dataset = GlmDataset(y=data.y, X=X)
             try:
                 fit = log_model_evidence(dataset, _standard_prior(int(order) + 1))
             except ArithmeticError as exc:
@@ -246,7 +244,6 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
     X_b = _design_modulated(levels)
     X_gen = X_b if config.generator == "B" else X_a
     n = len(levels)
-    noise_precision = SpdMatrix.identity(n)
     out = {name: np.zeros(config.n_replications)
            for name in ("cvlme_a", "cvlme_b", "acc_a", "acc_b", "com_a", "com_b")}
     for rep in range(config.n_replications):
@@ -257,8 +254,8 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
         for _ in range(config.n_sessions):
             eps = np.sqrt(config.noise_variance) * noise_rng.standard_normal(n)
             y = X_gen @ beta + eps
-            sessions_a.append(GlmDataset(y=y, X=X_a, P=noise_precision))
-            sessions_b.append(GlmDataset(y=y, X=X_b, P=noise_precision))
+            sessions_a.append(GlmDataset(y=y, X=X_a))
+            sessions_b.append(GlmDataset(y=y, X=X_b))
         qa = cv_model_quality(sessions_a)
         qb = cv_model_quality(sessions_b)
         out["cvlme_a"][rep], out["acc_a"][rep], out["com_a"][rep] = qa.lme, qa.accuracy, qa.complexity

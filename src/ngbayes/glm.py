@@ -11,13 +11,13 @@ error; the redundancy is the main correctness harness of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .distributions import NormalGammaParams
 from .divergence import kl_normal_gamma
-from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd, spd_solve
+from .numerics import SpdMatrix, cholesky, digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
     "GlmDataset",
@@ -71,18 +71,22 @@ class ModelQuality:
 
 @dataclass(frozen=True)
 class GlmDataset:
-    """Data vector, design matrix and noise precision of one GLM.
+    """Whitened data vector and design matrix of one GLM.
 
-    The noise precision P is the inverse of the noise correlation matrix;
-    it is supplied by the caller (identity for white noise). The design
-    matrix must have full column rank.
+    The optional noise precision P is the inverse of the noise correlation
+    matrix; None (the default) means white noise. A given P is factored
+    once as P = L L^T, and ``y`` and ``X`` are stored whitened, as L^T y
+    and L^T X, with ``logdet_P`` = ln|P|. Every later step therefore sees
+    white noise, and sessions stack by concatenating their rows. The
+    design matrix must have full column rank.
     """
 
     y: np.ndarray
     X: np.ndarray
-    P: SpdMatrix
+    P: InitVar[SpdMatrix | None] = None
+    logdet_P: float = field(init=False, default=0.0)
 
-    def __post_init__(self):
+    def __post_init__(self, P):
         y = np.asarray(self.y, dtype=float).reshape(-1)
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
@@ -92,10 +96,14 @@ class GlmDataset:
             raise ValueError(f"design matrix must be at least 1x1, got {n}x{p}")
         if y.shape[0] != n:
             raise ValueError(f"y has length {y.shape[0]}, design has {n} rows")
-        if self.P.dim != n:
-            raise ValueError(f"noise precision is {self.P.dim}x{self.P.dim}, expected {n}x{n}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise ValueError("data and design must be finite")
+        if P is not None:
+            if P.dim != n:
+                raise ValueError(f"noise precision is {P.dim}x{P.dim}, expected {n}x{n}")
+            lower = cholesky(P)
+            y, X = lower.T @ y, lower.T @ X
+            object.__setattr__(self, "logdet_P", logdet_spd(P))
         if np.linalg.matrix_rank(X) < p:
             raise ValueError("design matrix is rank deficient")
         y.setflags(write=False)
@@ -127,16 +135,15 @@ def fit_posterior(data: GlmDataset, prior: NormalGammaParams) -> NormalGammaPara
         raise ValueError(
             f"prior dimension {prior.dim} does not match design columns {data.p}"
         )
-    X, y = data.X, data.y
-    PX = data.P.entries @ X
-    lam_n = SpdMatrix(X.T @ PX + prior.lam.entries)
-    mu_n = spd_solve(lam_n, X.T @ (data.P.entries @ y) + prior.lam.entries @ prior.mu)
+    X, y, lam_0 = data.X, data.y, prior.lam.entries
+    lam_n = SpdMatrix(X.T @ X + lam_0)
+    mu_n = spd_solve(lam_n, X.T @ y + lam_0 @ prior.mu)
     a_n = prior.shape + 0.5 * data.n
-    b_n = prior.rate + 0.5 * (
-        float(y @ (data.P.entries @ y))
-        + float(prior.mu @ (prior.lam.entries @ prior.mu))
-        - float(mu_n @ (lam_n.entries @ mu_n))
-    )
+    # Residual form of y'y + mu_0' Lam_0 mu_0 - mu_n' Lam_n mu_n: equal in
+    # exact arithmetic, but a sum of nonnegative terms with no cancellation.
+    r = y - X @ mu_n
+    d = mu_n - prior.mu
+    b_n = prior.rate + 0.5 * (float(r @ r) + float(d @ (lam_0 @ d)))
     if b_n <= 0.0:
         raise DegeneratePosteriorError(
             f"posterior rate {b_n} is not positive; numerically degenerate fit"
@@ -161,15 +168,13 @@ def accuracy(data: GlmDataset, posterior: NormalGammaParams) -> float:
         )
     n = data.n
     r = data.y - data.X @ posterior.mu
-    quad = float(r @ (data.P.entries @ r))
-    xpx = data.X.T @ (data.P.entries @ data.X)
-    trace = float(np.trace(spd_solve(posterior.lam, xpx)))
+    trace = float(np.trace(spd_solve(posterior.lam, data.X.T @ data.X)))
     a_n, b_n = posterior.shape, posterior.rate
     return (
-        0.5 * logdet_spd(data.P)
+        0.5 * data.logdet_P
         - 0.5 * n * _LN_2PI
         + 0.5 * n * (digamma(a_n) - math.log(b_n))
-        - 0.5 * ((a_n / b_n) * quad + trace)
+        - 0.5 * ((a_n / b_n) * float(r @ r) + trace)
     )
 
 
@@ -179,7 +184,7 @@ def _direct_lme(data: GlmDataset, prior: NormalGammaParams,
     n = data.n
     return (
         -0.5 * n * _LN_2PI
-        + 0.5 * logdet_spd(data.P)
+        + 0.5 * data.logdet_P
         + 0.5 * (logdet_spd(prior.lam) - logdet_spd(posterior.lam))
         + prior.shape * math.log(prior.rate)
         - posterior.shape * math.log(posterior.rate)
@@ -220,25 +225,14 @@ def reference_prior(p: int) -> NormalGammaParams:
     )
 
 
-def _concat_sessions(sessions) -> GlmDataset:
-    """Stack sessions row-wise with a block-diagonal noise precision."""
-    y = np.concatenate([s.y for s in sessions])
-    X = np.vstack([s.X for s in sessions])
-    n = y.shape[0]
-    P = np.zeros((n, n))
-    offset = 0
-    for s in sessions:
-        P[offset : offset + s.n, offset : offset + s.n] = s.P.entries
-        offset += s.n
-    return GlmDataset(y=y, X=X, P=SpdMatrix(P))
-
-
 def cv_model_quality(sessions) -> ModelQuality:
     """Leave-one-session-out cross-validated model quality.
 
     For each held-out session, the remaining sessions are fitted from the
     reference prior and the resulting posterior serves as the prior of the
-    held-out fit. Per-session qualities are summed.
+    held-out fit. Per-session qualities are summed. Sessions are stored
+    whitened, so the training set is their rows stacked; ln|P| does not
+    enter the posterior.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
@@ -249,7 +243,9 @@ def cv_model_quality(sessions) -> ModelQuality:
     lme = acc = com = 0.0
     for i in range(len(sessions)):
         train = [s for j, s in enumerate(sessions) if j != i]
-        trained = fit_posterior(_concat_sessions(train), reference_prior(p))
+        stacked = GlmDataset(np.concatenate([s.y for s in train]),
+                             np.vstack([s.X for s in train]))
+        trained = fit_posterior(stacked, reference_prior(p))
         fit = log_model_evidence(sessions[i], trained)
         lme += fit.quality.lme
         acc += fit.quality.accuracy

@@ -2,8 +2,9 @@
 
 Everything downstream (log-densities, KL divergences, GLM posteriors) is
 built on log-gamma, digamma and Cholesky-based SPD routines. Matrices are
-small and dense (k, p <= ~21, n <= a few hundred), so no sparse or blocked
-code paths exist.
+small and dense: coefficient precisions are k x k (k, p <= ~21), and an
+n x n noise precision exists only when a caller supplies one, so no sparse
+or blocked code paths exist.
 """
 
 from __future__ import annotations
@@ -24,22 +25,6 @@ __all__ = [
 ]
 
 _SYMMETRY_RTOL = 1e-12
-
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Asymptotic series coefficients for digamma: -B_{2n} / (2n), n = 1..7.
 _DIGAMMA_ASY = (
@@ -64,19 +49,11 @@ class FactorizationError(ValueError):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 via the Lanczos approximation."""
+    """ln Gamma(x) for finite x > 0."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires finite x > 0, got {x}")
-    if x < 0.5:
-        # Reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x).
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(base) - base + math.log(series)
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
@@ -97,18 +74,30 @@ def digamma(x: float) -> float:
     return result + math.log(x) - 0.5 / x + series
 
 
+def _is_pd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Unblocked Cholesky; raises FactorizationError naming the bad pivot."""
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not d > 0.0:
-            raise FactorizationError(j)
-        lower[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
+    """Lower Cholesky factor; raises FactorizationError naming the first bad pivot."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    # A leading j x j block is PD iff pivots 0..j-1 are positive, so the
+    # largest PD leading block has the first bad pivot as its size.
+    good, bad = 0, a.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _is_pd(a[:mid, :mid]):
+            good = mid
+        else:
+            bad = mid
+    raise FactorizationError(good)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ngbayes.cli import main
@@ -78,6 +79,30 @@ class TestFitCommand:
         assert report["Lambda_n"] == [[pytest.approx(2.0)]]
         assert report["a_n"] == 1.5
         assert report["b_n"] == pytest.approx(2.0)
+
+    def test_noise_precision_from_file(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 8
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        y = X @ np.array([0.5, -1.0]) + rng.standard_normal(n)
+        P = 2.0 * np.eye(n) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        data_file = tmp_path / "data.json"
+        data_file.write_text(json.dumps({"y": y.tolist(), "X": X.tolist(), "P": P.tolist()}))
+        prior_file = tmp_path / "prior.json"
+        prior_file.write_text(json.dumps({
+            "mu0": [0.0, 0.0], "Lambda0": [[1.0, 0.0], [0.0, 1.0]], "a0": 1.0, "b0": 1.0
+        }))
+        status, out, _ = run_cli(capsys, "fit", str(data_file), str(prior_file))
+        assert status == 0
+        report = json.loads(out)
+        lam_n = X.T @ P @ X + np.eye(2)
+        mu_n = np.linalg.solve(lam_n, X.T @ P @ y)
+        assert report["noise_precision"] == "from file"
+        np.testing.assert_allclose(report["mu_n"], mu_n, rtol=1e-10)
+        np.testing.assert_allclose(report["Lambda_n"], lam_n, rtol=1e-10)
+        assert report["a_n"] == 1.0 + 0.5 * n
+        assert report["b_n"] == pytest.approx(1.0 + 0.5 * (y @ P @ y - mu_n @ lam_n @ mu_n),
+                                              rel=1e-10)
 
     def test_default_noise_precision_noted(self, capsys, tmp_path):
         data_file, prior_file = self.write_hand_files(tmp_path, with_p=False)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, linalg, special
 
 from ngbayes import (
     GlmDataset,
@@ -40,6 +41,49 @@ def random_dataset(rng, n, p):
     beta = rng.standard_normal(p)
     y = X @ beta + rng.standard_normal(n)
     return GlmDataset(y=y, X=X, P=SpdMatrix.identity(n))
+
+
+def ar1_precision(n, rho):
+    """Tridiagonal precision of unit-variance AR(1) noise with coefficient rho."""
+    diag = np.full(n, 1.0 + rho**2)
+    diag[[0, -1]] = 1.0
+    return (np.diag(diag) - rho * (np.eye(n, k=1) + np.eye(n, k=-1))) / (1.0 - rho**2)
+
+
+def dense_fit(y, X, P, prior):
+    """Posterior, accuracy and direct LME from the dense X'PX, X'Py, ln|P| formulas."""
+    lam_0, mu_0, a_0, b_0 = prior.lam.entries, prior.mu, prior.shape, prior.rate
+    n = len(y)
+    xpx = X.T @ P @ X
+    lam_n = xpx + lam_0
+    mu_n = np.linalg.solve(lam_n, X.T @ P @ y + lam_0 @ mu_0)
+    a_n = a_0 + 0.5 * n
+    b_n = b_0 + 0.5 * (y @ P @ y + mu_0 @ lam_0 @ mu_0 - mu_n @ lam_n @ mu_n)
+    logdet_p = np.linalg.slogdet(P)[1]
+    r = y - X @ mu_n
+    acc = (0.5 * logdet_p - 0.5 * n * LN_2PI
+           + 0.5 * n * (special.digamma(a_n) - math.log(b_n))
+           - 0.5 * ((a_n / b_n) * (r @ P @ r) + np.trace(np.linalg.solve(lam_n, xpx))))
+    lme = (-0.5 * n * LN_2PI + 0.5 * logdet_p
+           + 0.5 * (np.linalg.slogdet(lam_0)[1] - np.linalg.slogdet(lam_n)[1])
+           + a_0 * math.log(b_0) - a_n * math.log(b_n)
+           + math.lgamma(a_n) - math.lgamma(a_0))
+    post = NormalGammaParams(mu=mu_n, lam=SpdMatrix(lam_n), shape=a_n, rate=b_n)
+    return post, acc, lme
+
+
+def solve_exact(a, b):
+    """Gauss-Jordan elimination in rational arithmetic."""
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    k = len(m)
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c] / m[c][c]
+                m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    return [m[r][k] / m[r][r] for r in range(k)]
 
 
 class TestGlmDataset:
@@ -98,6 +142,33 @@ class TestFitPosterior:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             fit_posterior(random_dataset(rng, 5, 2), unit_prior(3))
+
+    def test_rate_matches_exact_rational(self):
+        # Near-flat prior, large signal, tiny noise: b_0 + (y'y + mu_0' Lam_0 mu_0
+        # - mu_n' Lam_n mu_n) / 2 cancels about 8 digits here.
+        rng = np.random.default_rng(4)
+        n, p = 50, 3
+        X = rng.standard_normal((n, p))
+        y = X @ np.full(p, 100.0) + 1e-6 * rng.standard_normal(n)
+        prior = reference_prior(p)
+        post = fit_posterior(GlmDataset(y=y, X=X), prior)
+
+        Xf = [[Fraction(v) for v in row] for row in X.tolist()]
+        yf = [Fraction(v) for v in y.tolist()]
+        lam_0 = [[Fraction(v) for v in row] for row in prior.lam.entries.tolist()]
+        mu_0 = [Fraction(v) for v in prior.mu.tolist()]
+        lam_n = [[sum(row[a] * row[b] for row in Xf) + lam_0[a][b] for b in range(p)]
+                 for a in range(p)]
+        rhs = [sum(row[a] * yi for row, yi in zip(Xf, yf))
+               + sum(lam_0[a][b] * mu_0[b] for b in range(p)) for a in range(p)]
+        mu_n = solve_exact(lam_n, rhs)
+        resid = [yi - sum(row[a] * mu_n[a] for a in range(p)) for row, yi in zip(Xf, yf)]
+        d = [mu_n[a] - mu_0[a] for a in range(p)]
+        b_n = Fraction(prior.rate) + (
+            sum(r * r for r in resid)
+            + sum(d[a] * lam_0[a][b] * d[b] for a in range(p) for b in range(p))
+        ) / 2
+        assert post.rate == pytest.approx(float(b_n), rel=1e-12, abs=0.0)
 
 
 class TestComplexity:
@@ -199,6 +270,58 @@ class TestLogModelEvidence:
         diff = f2.posterior.lam.entries - f1.posterior.lam.entries
         SpdMatrix(0.5 * (diff + diff.T))  # Loewner order: difference is SPD
         assert f2.quality.complexity > f1.quality.complexity
+
+
+class TestColoredNoise:
+    """AR(1) noise precision against the dense X'PX, X'Py and ln|P| formulas."""
+
+    def make(self, rng, n=15, p=3, rho=0.6):
+        X = rng.standard_normal((n, p))
+        P = ar1_precision(n, rho)
+        noise = np.linalg.cholesky(np.linalg.inv(P)) @ rng.standard_normal(n)
+        return X @ rng.standard_normal(p) + noise, X, P
+
+    def prior(self, rng, p=3):
+        return NormalGammaParams(mu=rng.standard_normal(p), lam=random_spd(rng, p),
+                                 shape=2.0, rate=1.5)
+
+    def test_posterior(self, rng):
+        y, X, P = self.make(rng)
+        prior = self.prior(rng)
+        post = fit_posterior(GlmDataset(y=y, X=X, P=SpdMatrix(P)), prior)
+        expected, _, _ = dense_fit(y, X, P, prior)
+        np.testing.assert_allclose(post.mu, expected.mu, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(post.lam.entries, expected.lam.entries, rtol=1e-10)
+        assert post.shape == expected.shape
+        assert post.rate == pytest.approx(expected.rate, rel=1e-10)
+
+    def test_accuracy_and_both_evidence_paths(self, rng):
+        y, X, P = self.make(rng)
+        prior = self.prior(rng)
+        data = GlmDataset(y=y, X=X, P=SpdMatrix(P))
+        fit = log_model_evidence(data, prior)
+        _, acc, lme = dense_fit(y, X, P, prior)
+        assert data.logdet_P == pytest.approx(np.linalg.slogdet(P)[1], rel=1e-12)
+        assert accuracy(data, fit.posterior) == pytest.approx(acc, rel=1e-10)
+        assert fit.quality.lme == pytest.approx(lme, rel=1e-10)
+        assert _direct_lme(data, prior, fit.posterior) == pytest.approx(lme, rel=1e-10)
+
+    def test_cv_matches_block_diagonal_reference(self, rng):
+        p = 2
+        raw = [self.make(rng, n=n, p=p, rho=rho)
+               for n, rho in ((12, 0.3), (9, 0.7), (14, -0.5))]
+        expected = np.zeros(3)
+        for i, held_out in enumerate(raw):
+            train = [s for j, s in enumerate(raw) if j != i]
+            trained, _, _ = dense_fit(np.concatenate([s[0] for s in train]),
+                                      np.vstack([s[1] for s in train]),
+                                      linalg.block_diag(*[s[2] for s in train]),
+                                      reference_prior(p))
+            _, acc, lme = dense_fit(*held_out, trained)
+            expected += (lme, acc, acc - lme)
+        got = cv_model_quality([GlmDataset(y=y, X=X, P=SpdMatrix(P)) for y, X, P in raw])
+        np.testing.assert_allclose((got.lme, got.accuracy, got.complexity), expected,
+                                   rtol=1e-9)
 
 
 class TestModelQuality:

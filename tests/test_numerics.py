@@ -71,6 +71,16 @@ class TestSpdMatrix:
             SpdMatrix([[1.0, 0.0], [0.0, -2.0]])
         assert err.value.pivot_index == 1
 
+    @pytest.mark.parametrize("entries, pivot", [
+        (np.diag([-1.0, 2.0, 3.0]), 0),
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]], 1),
+        (np.diag([1.0, 2.0, -1.0, 3.0, 1.0]), 2),
+    ])
+    def test_pivot_index_is_first_bad_pivot(self, entries, pivot):
+        with pytest.raises(FactorizationError) as err:
+            SpdMatrix(entries)
+        assert err.value.pivot_index == pivot
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             SpdMatrix(np.ones((2, 3)))
