@@ -81,6 +81,8 @@ def _parse_param_doc(spec: str) -> dict:
 
 
 def _require(doc: dict, keys: tuple, family: str) -> None:
+    if not isinstance(doc, dict):
+        raise UsageError(f"{family} parameters must be a JSON object, got {doc!r}")
     missing = [k for k in keys if k not in doc]
     if missing:
         raise UsageError(f"{family} parameters missing field(s): {', '.join(missing)}")
@@ -92,6 +94,8 @@ def _require(doc: dict, keys: tuple, family: str) -> None:
 def _params_from_doc(family: str, doc: dict):
     if family == "gamma":
         _require(doc, ("a", "b"), family)
+        if np.ndim(doc["a"]) or np.ndim(doc["b"]):
+            raise UsageError("gamma parameters a and b must be single numbers")
         return GammaParams(shape=doc["a"], rate=doc["b"])
     if family == "mvn":
         _require(doc, ("mu", "Lambda"), family)
@@ -99,7 +103,7 @@ def _params_from_doc(family: str, doc: dict):
                               precision=SpdMatrix(np.atleast_2d(doc["Lambda"])))
     if family == "ng":
         _require(doc, ("mu", "Lambda", "a", "b"), family)
-        return NormalGammaParams(mu=np.atleast_1d(doc["mu"]),
+        return NormalGammaParams(mu=np.ravel(doc["mu"]),
                                  lam=SpdMatrix(np.atleast_2d(doc["Lambda"])),
                                  shape=doc["a"], rate=doc["b"])
     raise UsageError(f"unknown family {family!r}")
@@ -137,12 +141,13 @@ def _cmd_fit(args) -> int:
         data_doc = json.load(fh)
     with open(args.prior) as fh:
         prior_doc = json.load(fh)
-    default_p = "P" not in data_doc
-    _require(dict(data_doc), ("y", "X") if default_p else ("y", "X", "P"), "data")
+    default_p = not isinstance(data_doc, dict) or "P" not in data_doc
+    _require(data_doc, ("y", "X") if default_p else ("y", "X", "P"), "data")
     _require(prior_doc, ("mu0", "Lambda0", "a0", "b0"), "prior")
     P = None if default_p else SpdMatrix(np.atleast_2d(data_doc["P"]))
-    dataset = GlmDataset(y=np.atleast_1d(data_doc["y"]), X=np.atleast_2d(data_doc["X"]), P=P)
-    prior = NormalGammaParams(mu=np.atleast_1d(prior_doc["mu0"]),
+    # One response: y is flattened, so the fit is never a batch.
+    dataset = GlmDataset(y=np.ravel(data_doc["y"]), X=np.atleast_2d(data_doc["X"]), P=P)
+    prior = NormalGammaParams(mu=np.ravel(prior_doc["mu0"]),
                               lam=SpdMatrix(np.atleast_2d(prior_doc["Lambda0"])),
                               shape=prior_doc["a0"], rate=prior_doc["b0"])
     fit = log_model_evidence(dataset, prior)

@@ -17,16 +17,8 @@ import numpy as np
 from .numerics import SpdMatrix, log_gamma, logdet_spd, spd_inverse
 
 __all__ = [
-    "GammaParams",
-    "MvNormalParams",
-    "NormalGammaParams",
-    "RngStream",
-    "logpdf_mvn",
-    "logpdf_gamma",
-    "logpdf_ng",
-    "sample_gamma",
-    "sample_mvn",
-    "sample_ng",
+    "GammaParams", "MvNormalParams", "NormalGammaParams", "RngStream", "logpdf_mvn",
+    "logpdf_gamma", "logpdf_ng", "sample_gamma", "sample_mvn", "sample_ng",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -34,17 +26,19 @@ _LN_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Shape/rate parameters of a univariate gamma distribution."""
+    """Shape/rate of a univariate gamma; an (R,) rate is a batch of R (KL only)."""
 
     shape: float
-    rate: float
+    rate: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("shape", "rate"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
+        shape, rate = float(self.shape), np.array(self.rate, dtype=float)
+        for name, v in (("shape", shape), ("rate", rate)):
+            if not np.all(np.isfinite(v) & (v > 0.0)):
                 raise ValueError(f"gamma {name} must be finite and positive, got {v}")
-            object.__setattr__(self, name, v)
+        rate.setflags(write=False)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rate", rate if rate.ndim else float(rate))
 
     @property
     def mean(self) -> float:
@@ -80,25 +74,27 @@ class MvNormalParams:
 
 @dataclass(frozen=True)
 class NormalGammaParams:
-    """Joint parameters (mu, Lambda, shape, rate) of a normal-gamma."""
+    """Parameters of a normal-gamma; a batch of R has mu (k, R) and rate (R,)."""
 
     mu: np.ndarray
     lam: SpdMatrix
     shape: float
-    rate: float
+    rate: float | np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = np.atleast_1d(np.array(self.mu, dtype=float))
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
         if mu.shape[0] != self.lam.dim:
             raise ValueError(
                 f"mu length {mu.shape[0]} does not match lambda dimension {self.lam.dim}"
             )
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
         # Reuse GammaParams validation for shape/rate.
         g = GammaParams(self.shape, self.rate)
+        if mu.shape[1:] != np.shape(g.rate):
+            raise ValueError(f"mu shape {mu.shape} does not match rate shape {np.shape(g.rate)}")
+        mu.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "shape", g.shape)
         object.__setattr__(self, "rate", g.rate)
 

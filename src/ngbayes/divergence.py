@@ -3,6 +3,8 @@
 The normal-gamma divergence is computed as the chain-rule sum of the
 expected conditional normal divergence and the gamma divergence, so the
 additivity property holds to floating-point exactness by construction.
+The gamma and normal-gamma divergences also take batches (see
+``NormalGammaParams``) and then return one value per column.
 """
 
 from __future__ import annotations
@@ -16,13 +18,8 @@ from .distributions import GammaParams, MvNormalParams, NormalGammaParams, RngSt
 from .numerics import digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
-    "KlEstimate",
-    "NegativeDivergenceError",
-    "kl_mvn",
-    "kl_gamma",
-    "kl_normal_gamma",
-    "expected_conditional_mvn_kl",
-    "kl_monte_carlo",
+    "KlEstimate", "NegativeDivergenceError", "kl_mvn", "kl_gamma", "kl_normal_gamma",
+    "expected_conditional_mvn_kl", "kl_monte_carlo",
 ]
 
 # Closed-form results below this are implementation bugs, not rounding.
@@ -48,12 +45,12 @@ class KlEstimate:
             raise ValueError("sample count must be >= 1")
 
 
-def _clamp(value: float) -> float:
-    if value < _NEGATIVE_TOL:
+def _clamp(value):
+    if np.any(value < _NEGATIVE_TOL):
         raise NegativeDivergenceError(
             f"closed-form KL evaluated to {value}, below the rounding tolerance"
         )
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)
 
 
 def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
@@ -71,14 +68,12 @@ def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
     return _clamp(0.5 * (quad + trace + logdet_term - k))
 
 
-def kl_gamma(p: GammaParams, q: GammaParams) -> float:
-    """KL[P || Q] for two univariate gamma distributions."""
-    if p is q or (p.shape == q.shape and p.rate == q.rate):
-        return 0.0
+def kl_gamma(p: GammaParams, q: GammaParams):
+    """KL[P || Q] for two univariate gammas; exactly 0 when P equals Q."""
     a1, b1 = p.shape, p.rate
     a2, b2 = q.shape, q.rate
     value = (
-        a2 * math.log(b1 / b2)
+        a2 * np.log(b1 / b2)
         - (log_gamma(a1) - log_gamma(a2))
         + (a1 - a2) * digamma(a1)
         - (b1 - b2) * a1 / b1
@@ -86,7 +81,7 @@ def kl_gamma(p: GammaParams, q: GammaParams) -> float:
     return _clamp(value)
 
 
-def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams) -> float:
+def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams):
     """Conditional normal KL, averaged over the precision scale of P.
 
     Averaging KL[N(mu1, (y L1)^-1) || N(mu2, (y L2)^-1)] over
@@ -96,8 +91,9 @@ def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams) -> f
     k = p.dim
     if q.dim != k:
         raise ValueError(f"dimension mismatch: {k} vs {q.dim}")
-    d = q.mu - p.mu
-    quad = float(d @ q.lam.entries @ d)
+    batch = np.broadcast_shapes(np.shape(p.rate), np.shape(q.rate))
+    d = q.mu.reshape(k, -1) - p.mu.reshape(k, -1)  # one column per batch member
+    quad = np.sum(d * (q.lam.entries @ d), axis=0).reshape(batch)
     trace = float(np.trace(spd_solve(p.lam, q.lam.entries)))
     logdet_term = logdet_spd(q.lam) - logdet_spd(p.lam)
     return (
@@ -108,7 +104,7 @@ def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams) -> f
     )
 
 
-def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams) -> float:
+def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
     """KL[P || Q] for two normal-gamma distributions.
 
     Chain rule: expected conditional normal divergence plus the gamma
@@ -118,9 +114,9 @@ def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams) -> float:
         np.array_equal(p.mu, q.mu)
         and np.array_equal(p.lam.entries, q.lam.entries)
         and p.shape == q.shape
-        and p.rate == q.rate
+        and np.array_equal(p.rate, q.rate)
     ):
-        return 0.0
+        return 0.0 * p.rate  # zero in each column
     return _clamp(
         expected_conditional_mvn_kl(p, q) + kl_gamma(p.gamma, q.gamma)
     )

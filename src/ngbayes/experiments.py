@@ -4,7 +4,10 @@ Two experiments: a polynomial model-order sweep in which the log model
 evidence recovers the generating order, and a multi-session study in
 which cross-validated evidence distinguishes a flexible per-condition
 design from a constrained parametric-modulator design generated from the
-same conditions.
+same conditions. In both, every replication shares the candidate design,
+so the replications are the columns of one response matrix: the sweep
+makes one evidence call per order and the study one cross-validation per
+design, each fitting all replications at once.
 """
 
 from __future__ import annotations
@@ -19,18 +22,9 @@ from .glm import GlmDataset, cv_model_quality, log_model_evidence
 from .numerics import SpdMatrix
 
 __all__ = [
-    "PolySweepConfig",
-    "SweepResult",
-    "CvStudyConfig",
-    "CvStudyResult",
-    "equally_spaced",
-    "build_poly_design",
-    "simulate_polynomial",
-    "run_poly_sweep",
-    "run_cv_study",
-    "write_sweep_csv",
-    "write_cv_csv",
-    "load_config",
+    "PolySweepConfig", "SweepResult", "CvStudyConfig", "CvStudyResult",
+    "equally_spaced", "build_poly_design", "simulate_polynomial", "run_poly_sweep",
+    "run_cv_study", "write_sweep_csv", "write_cv_csv", "load_config",
 ]
 
 SWEEP_CSV_HEADER = "order,mean_lme,mean_acc,mean_com"
@@ -192,24 +186,24 @@ def _standard_prior(p: int) -> NormalGammaParams:
 
 
 def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
-    """Fit every order in [p_min, p_max] across all replications."""
+    """Fit every order in [p_min, p_max] to all replications.
+
+    The replications are the columns of one response matrix, so each order
+    takes one evidence call; a failed check names the order and the
+    column, which is the replication.
+    """
     orders = np.arange(config.p_min, config.p_max + 1)
     x = equally_spaced(config.n_points)
-    designs = [build_poly_design(x, int(p)) for p in orders]
-    sums = np.zeros((3, len(orders)))
-    for rep in range(config.n_simulations):
-        data = simulate_polynomial(config, rep)
-        for idx, (order, X) in enumerate(zip(orders, designs)):
-            dataset = GlmDataset(y=data.y, X=X)
-            try:
-                fit = log_model_evidence(dataset, _standard_prior(int(order) + 1))
-            except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"fit failed at replication {rep}, order {order}: {exc}"
-                ) from exc
-            q = fit.quality
-            sums[:, idx] += (q.lme, q.accuracy, q.complexity)
-    means = sums / config.n_simulations
+    y = np.column_stack([simulate_polynomial(config, rep).y
+                         for rep in range(config.n_simulations)])
+    means = np.zeros((3, len(orders)))
+    for idx, order in enumerate(orders):
+        data = GlmDataset(y=y, X=build_poly_design(x, int(order)))
+        try:
+            q = log_model_evidence(data, _standard_prior(int(order) + 1)).quality
+        except ArithmeticError as exc:
+            raise type(exc)(f"fit failed at order {order}: {exc}") from exc
+        means[:, idx] = np.mean(q.lme), np.mean(q.accuracy), np.mean(q.complexity)
     return SweepResult(orders=orders, mean_lme=means[0],
                        mean_acc=means[1], mean_com=means[2])
 
@@ -236,31 +230,27 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
     """Compare cross-validated evidence of designs A and B.
 
     Per replication, coefficients of the generating design are drawn once
-    (shared across sessions) and session noise is drawn independently;
-    both designs are then scored with leave-one-session-out evidence.
+    (shared across sessions) and session noise is drawn independently.
+    Each session's responses hold one column per replication, so both
+    designs are scored with one leave-one-session-out call each.
     """
     levels = _condition_levels(config.trials_per_condition)
     X_a = _design_flexible(levels)
     X_b = _design_modulated(levels)
     X_gen = X_b if config.generator == "B" else X_a
     n = len(levels)
-    out = {name: np.zeros(config.n_replications)
-           for name in ("cvlme_a", "cvlme_b", "acc_a", "acc_b", "com_a", "com_b")}
+    y = np.empty((config.n_sessions, n, config.n_replications))
     for rep in range(config.n_replications):
         base = RngStream(config.master_seed, rep)
         beta = base.child(0).generator.standard_normal(X_gen.shape[1])
         noise_rng = base.child(1).generator
-        sessions_a, sessions_b = [], []
-        for _ in range(config.n_sessions):
+        for session in range(config.n_sessions):
             eps = np.sqrt(config.noise_variance) * noise_rng.standard_normal(n)
-            y = X_gen @ beta + eps
-            sessions_a.append(GlmDataset(y=y, X=X_a))
-            sessions_b.append(GlmDataset(y=y, X=X_b))
-        qa = cv_model_quality(sessions_a)
-        qb = cv_model_quality(sessions_b)
-        out["cvlme_a"][rep], out["acc_a"][rep], out["com_a"][rep] = qa.lme, qa.accuracy, qa.complexity
-        out["cvlme_b"][rep], out["acc_b"][rep], out["com_b"][rep] = qb.lme, qb.accuracy, qb.complexity
-    return CvStudyResult(**out)
+            y[session, :, rep] = X_gen @ beta + eps
+    qa = cv_model_quality(GlmDataset(y=ys, X=X_a) for ys in y)
+    qb = cv_model_quality(GlmDataset(y=ys, X=X_b) for ys in y)
+    return CvStudyResult(cvlme_a=qa.lme, cvlme_b=qb.lme, acc_a=qa.accuracy,
+                         acc_b=qb.accuracy, com_a=qa.complexity, com_b=qb.complexity)
 
 
 def _fmt(v: float) -> str:

@@ -2,6 +2,11 @@
 
 The normal-gamma prior on (coefficients, noise precision) is conjugate to
 the Gaussian likelihood, so the posterior is available in closed form.
+The closed forms also take R responses (n, R) that share one design,
+which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
+evidence (R,) hold one column per response, and every check runs per
+column. One response (n,) is the same code at R = 1.
+
 The log model evidence is computed twice: once as accuracy minus
 complexity and once from the ratio of prior to posterior normalization
 constants. Disagreement between the two paths is treated as an internal
@@ -20,20 +25,10 @@ from .divergence import kl_normal_gamma
 from .numerics import SpdMatrix, cholesky, digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
-    "GlmDataset",
-    "GlmFit",
-    "ModelQuality",
-    "DegeneratePosteriorError",
-    "EvidenceConsistencyError",
-    "REFERENCE_PRIOR_PRECISION",
-    "REFERENCE_PRIOR_SHAPE",
-    "REFERENCE_PRIOR_RATE",
-    "fit_posterior",
-    "complexity",
-    "accuracy",
-    "log_model_evidence",
-    "reference_prior",
-    "cv_model_quality",
+    "GlmDataset", "GlmFit", "ModelQuality", "DegeneratePosteriorError",
+    "EvidenceConsistencyError", "REFERENCE_PRIOR_PRECISION", "REFERENCE_PRIOR_SHAPE",
+    "REFERENCE_PRIOR_RATE", "fit_posterior", "complexity", "accuracy",
+    "log_model_evidence", "reference_prior", "cv_model_quality",
     "cv_log_model_evidence",
 ]
 
@@ -47,7 +42,7 @@ REFERENCE_PRIOR_RATE = 1e-3
 
 
 class DegeneratePosteriorError(ArithmeticError):
-    """Posterior rate came out non-positive (catastrophic cancellation)."""
+    """Posterior mean or rate overflowed, or the rate came out non-positive."""
 
 
 class EvidenceConsistencyError(ArithmeticError):
@@ -56,28 +51,28 @@ class EvidenceConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModelQuality:
-    """Log model evidence with its accuracy/complexity decomposition."""
+    """Log model evidence with its accuracy/complexity decomposition, per response."""
 
-    lme: float
-    accuracy: float
-    complexity: float
+    lme: float | np.ndarray
+    accuracy: float | np.ndarray
+    complexity: float | np.ndarray
 
     def __post_init__(self):
-        if self.complexity < -1e-10:
+        if np.any(self.complexity < -1e-10):
             raise ValueError(f"complexity must be nonnegative, got {self.complexity}")
-        if abs(self.lme - (self.accuracy - self.complexity)) > 1e-10:
+        if np.any(np.abs(self.lme - (self.accuracy - self.complexity)) > 1e-10):
             raise ValueError("lme must equal accuracy - complexity")
 
 
 @dataclass(frozen=True)
 class GlmDataset:
-    """Whitened data vector and design matrix of one GLM.
+    """Whitened responses, (n,) or (n, R), and design matrix of one GLM.
 
     The optional noise precision P is the inverse of the noise correlation
     matrix; None (the default) means white noise. A given P is factored
     once as P = L L^T, and ``y`` and ``X`` are stored whitened, as L^T y
     and L^T X, with ``logdet_P`` = ln|P|. Every later step therefore sees
-    white noise, and sessions stack by concatenating their rows. The
+    white noise, and sessions combine by summing their statistics. The
     design matrix must have full column rank.
     """
 
@@ -87,15 +82,15 @@ class GlmDataset:
     logdet_P: float = field(init=False, default=0.0)
 
     def __post_init__(self, P):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        y = np.atleast_1d(np.asarray(self.y, dtype=float))
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError(f"design matrix must be at least 1x1, got {n}x{p}")
-        if y.shape[0] != n:
-            raise ValueError(f"y has length {y.shape[0]}, design has {n} rows")
+        if y.ndim > 2 or y.shape[0] != n:
+            raise ValueError(f"y has shape {y.shape}, design has {n} rows")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise ValueError("data and design must be finite")
         if P is not None:
@@ -129,35 +124,46 @@ class GlmFit:
     quality: ModelQuality
 
 
-def fit_posterior(data: GlmDataset, prior: NormalGammaParams) -> NormalGammaParams:
-    """Conjugate posterior update for the GLM with a normal-gamma prior."""
-    if prior.dim != data.p:
+@np.errstate(over="ignore", invalid="ignore")
+def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
+    """Conjugate posterior update for the GLM with a normal-gamma prior.
+
+    ``data`` may be a list of datasets fitted jointly: their X'X, X'y, n
+    and residuals add up. The prior may be a batch of R.
+    """
+    parts = [data] if isinstance(data, GlmDataset) else data
+    if any(s.p != prior.dim or s.y.shape[1:] != parts[0].y.shape[1:] for s in parts):
         raise ValueError(
-            f"prior dimension {prior.dim} does not match design columns {data.p}"
+            f"prior dimension {prior.dim} does not match design columns "
+            f"{[s.p for s in parts]}, or response counts {[s.y.shape[1:] for s in parts]} differ"
         )
-    X, y, lam_0 = data.X, data.y, prior.lam.entries
-    lam_n = SpdMatrix(X.T @ X + lam_0)
-    mu_n = spd_solve(lam_n, X.T @ y + lam_0 @ prior.mu)
-    a_n = prior.shape + 0.5 * data.n
+    # Responses, means and residuals as columns: (n, R), (k, R) and (R,).
+    batch = np.broadcast_shapes(parts[0].y.shape[1:], np.shape(prior.rate))
+    lam_0, mu_0 = prior.lam.entries, prior.mu.reshape(prior.dim, -1)
+    lam_n = SpdMatrix(lam_0 + sum(s.X.T @ s.X for s in parts))
+    mu_n = spd_solve(lam_n, lam_0 @ mu_0 + sum(s.X.T @ s.y.reshape(s.n, -1) for s in parts))
     # Residual form of y'y + mu_0' Lam_0 mu_0 - mu_n' Lam_n mu_n: equal in
     # exact arithmetic, but a sum of nonnegative terms with no cancellation.
-    r = y - X @ mu_n
-    d = mu_n - prior.mu
-    b_n = prior.rate + 0.5 * (float(r @ r) + float(d @ (lam_0 @ d)))
-    if b_n <= 0.0:
-        raise DegeneratePosteriorError(
-            f"posterior rate {b_n} is not positive; numerically degenerate fit"
-        )
-    return NormalGammaParams(mu=mu_n, lam=lam_n, shape=a_n, rate=b_n)
+    rss = sum(np.sum((s.y.reshape(s.n, -1) - s.X @ mu_n) ** 2, axis=0) for s in parts)
+    d = mu_n - mu_0
+    b_n = prior.rate + 0.5 * (rss + np.sum(d * (lam_0 @ d), axis=0))
+    ok = np.all(np.isfinite(mu_n), axis=0) & np.isfinite(b_n) & (b_n > 0.0)
+    if not np.all(ok):
+        j = np.argmin(ok)
+        raise DegeneratePosteriorError(f"posterior overflowed or degenerated in column {j}: "
+                                       f"b_n = {b_n[j]}, mu_n = {mu_n[:, j]}")
+    return NormalGammaParams(mu=mu_n.reshape(mu_n.shape[:1] + batch), lam=lam_n,
+                             shape=prior.shape + 0.5 * sum(s.n for s in parts),
+                             rate=b_n.reshape(batch))
 
 
-def complexity(prior: NormalGammaParams, posterior: NormalGammaParams) -> float:
+def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
     """Complexity penalty: KL from the posterior to the prior."""
     return kl_normal_gamma(posterior, prior)
 
 
-def accuracy(data: GlmDataset, posterior: NormalGammaParams) -> float:
-    """Posterior expected log-likelihood of the data.
+def accuracy(data: GlmDataset, posterior: NormalGammaParams):
+    """Posterior expected log-likelihood of the data, per response.
 
     Uses the gamma moments <tau> = a_n / b_n and <ln tau> = psi(a_n) - ln b_n
     plus the Gaussian quadratic-form identity for the coefficient uncertainty.
@@ -167,27 +173,28 @@ def accuracy(data: GlmDataset, posterior: NormalGammaParams) -> float:
             f"posterior dimension {posterior.dim} does not match design columns {data.p}"
         )
     n = data.n
-    r = data.y - data.X @ posterior.mu
+    r = data.y.reshape(n, -1) - data.X @ posterior.mu.reshape(data.p, -1)
+    rss = np.sum(r * r, axis=0).reshape(np.shape(posterior.rate))
     trace = float(np.trace(spd_solve(posterior.lam, data.X.T @ data.X)))
     a_n, b_n = posterior.shape, posterior.rate
     return (
         0.5 * data.logdet_P
         - 0.5 * n * _LN_2PI
-        + 0.5 * n * (digamma(a_n) - math.log(b_n))
-        - 0.5 * ((a_n / b_n) * float(r @ r) + trace)
+        + 0.5 * n * (digamma(a_n) - np.log(b_n))
+        - 0.5 * ((a_n / b_n) * rss + trace)
     )
 
 
 def _direct_lme(data: GlmDataset, prior: NormalGammaParams,
-                posterior: NormalGammaParams) -> float:
+                posterior: NormalGammaParams):
     """Evidence from the ratio of prior to posterior normalizers."""
     n = data.n
     return (
         -0.5 * n * _LN_2PI
         + 0.5 * data.logdet_P
         + 0.5 * (logdet_spd(prior.lam) - logdet_spd(posterior.lam))
-        + prior.shape * math.log(prior.rate)
-        - posterior.shape * math.log(posterior.rate)
+        + prior.shape * np.log(prior.rate)
+        - posterior.shape * np.log(posterior.rate)
         + log_gamma(posterior.shape)
         - log_gamma(prior.shape)
     )
@@ -198,18 +205,20 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams,
     """Fit the model and return the evidence with its decomposition.
 
     The decomposition path (accuracy minus complexity) is cross-checked
-    against the direct closed form; a mismatch beyond ``consistency_tol``
-    raises EvidenceConsistencyError.
+    against the direct closed form for every response; a mismatch beyond
+    ``consistency_tol`` raises EvidenceConsistencyError naming the column.
     """
     posterior = fit_posterior(data, prior)
     acc = accuracy(data, posterior)
     com = complexity(prior, posterior)
     lme = acc - com
     direct = _direct_lme(data, prior, posterior)
-    if abs(lme - direct) > consistency_tol:
+    ok = np.abs(lme - direct) <= consistency_tol
+    if not np.all(ok):
+        j = np.argmin(ok)
         raise EvidenceConsistencyError(
-            f"decomposition LME {lme} vs direct LME {direct}: "
-            f"difference {lme - direct} exceeds {consistency_tol}"
+            f"column {j}: decomposition LME {np.reshape(lme, -1)[j]} vs direct LME "
+            f"{np.reshape(direct, -1)[j]} differ by more than {consistency_tol}"
         )
     return GlmFit(prior=prior, posterior=posterior,
                   quality=ModelQuality(lme=lme, accuracy=acc, complexity=com))
@@ -230,23 +239,25 @@ def cv_model_quality(sessions) -> ModelQuality:
 
     For each held-out session, the remaining sessions are fitted from the
     reference prior and the resulting posterior serves as the prior of the
-    held-out fit. Per-session qualities are summed. Sessions are stored
-    whitened, so the training set is their rows stacked; ln|P| does not
-    enter the posterior.
+    held-out fit. Per-session qualities are summed, per response: sessions
+    hold R responses each, column r of every session forming problem r.
+    Sessions are stored whitened, so the training fit sums the other
+    sessions' statistics and residuals; ln|P| does not enter it.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ValueError("cross-validated evidence requires at least 2 sessions")
-    p = sessions[0].p
-    if any(s.p != p for s in sessions):
-        raise ValueError("all sessions must share the same design columns")
+    p, batch = sessions[0].p, sessions[0].y.shape[1:]
+    if any(s.p != p or s.y.shape[1:] != batch for s in sessions):
+        raise ValueError("all sessions must share the same design columns and response count")
+    prior = reference_prior(p)
     lme = acc = com = 0.0
-    for i in range(len(sessions)):
-        train = [s for j, s in enumerate(sessions) if j != i]
-        stacked = GlmDataset(np.concatenate([s.y for s in train]),
-                             np.vstack([s.X for s in train]))
-        trained = fit_posterior(stacked, reference_prior(p))
-        fit = log_model_evidence(sessions[i], trained)
+    for i, held_out in enumerate(sessions):
+        try:
+            trained = fit_posterior([s for j, s in enumerate(sessions) if j != i], prior)
+            fit = log_model_evidence(held_out, trained)
+        except ArithmeticError as exc:
+            raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
         lme += fit.quality.lme
         acc += fit.quality.accuracy
         com += fit.quality.complexity

@@ -1,9 +1,13 @@
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ngbayes.cli import main
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +57,18 @@ class TestKlCommand:
         status, _, err = run_cli(capsys, "kl", "gamma", "--p", "a=1", "--q", "a=1,b=1")
         assert status == 1
         assert "b" in err
+
+    def test_non_object_params_file_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "five.json"
+        f.write_text("5")
+        status, _, err = run_cli(capsys, "kl", "gamma", "--p", str(f), "--q", "a=1,b=1")
+        assert status == 1
+        assert err.startswith("error: ") and "JSON object" in err
+
+    def test_batched_rate_is_usage_error(self, capsys):
+        status, _, err = run_cli(capsys, "kl", "gamma", "--p", "a=1,b=[1,2]", "--q", "a=1,b=1")
+        assert status == 1
+        assert err.startswith("error: ")
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         status, _, _ = run_cli(capsys, "frobnicate")
@@ -136,6 +152,27 @@ class TestFitCommand:
         assert status == 1
 
 
+    @pytest.mark.parametrize("which", ["data", "prior"])
+    def test_non_object_file_is_usage_error(self, capsys, tmp_path, which):
+        files = dict(zip(("data", "prior"), self.write_hand_files(tmp_path)))
+        files[which] = tmp_path / "five.json"
+        files[which].write_text("5")
+        status, _, err = run_cli(capsys, "fit", str(files["data"]), str(files["prior"]))
+        assert status == 1
+        assert err.startswith("error: ") and "JSON object" in err
+
+    def test_overflow_is_named(self, capsys, tmp_path):
+        _, prior_file = self.write_hand_files(tmp_path)
+        data_file = tmp_path / "big.json"
+        data_file.write_text(json.dumps({"y": [1e308, 1], "X": [[1], [1]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, _, err = run_cli(capsys, "fit", str(data_file), prior_file)
+        assert status == 1
+        assert "overflow" in err and "column 0" in err
+        assert "RuntimeWarning" not in err
+
+
 class TestSweepCommand:
     def test_single_order_sweep(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -188,3 +225,29 @@ class TestCvStudyCommand:
         assert run_cli(capsys, "cv-study", str(cfg), "--out", str(a), "--seed", "3")[0] == 0
         assert run_cli(capsys, "cv-study", str(cfg), "--out", str(b), "--seed", "3")[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def csv_rows(text):
+    lines = text.rstrip("\n").split("\n")
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+@pytest.mark.parametrize("command, reference", [("sweep", "sweep_seed0.csv"),
+                                                ("cv-study", "cvstudy_seed0.csv")])
+def test_default_study_matches_reference_csv(capsys, tmp_path, command, reference):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        status, out, _ = run_cli(capsys, command, str(cfg), "--out", str(tmp_path / name),
+                                 "--seed", "0")
+        assert status == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    header, rows = csv_rows(outputs[0].decode())
+    ref_header, ref_rows = csv_rows((REFERENCE_DIR / reference).read_text())
+    assert header == ref_header and rows.shape == ref_rows.shape
+    scale = np.maximum(np.abs(rows), np.abs(ref_rows))
+    assert np.all(np.abs(rows - ref_rows) <= 1e-9 * scale)
+    if command == "sweep":
+        assert json.loads(out)["argmax_order"] == 5

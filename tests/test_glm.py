@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, linalg, special
 
 from ngbayes import (
@@ -20,7 +22,14 @@ from ngbayes import (
     log_model_evidence,
     sample_ng,
 )
-from ngbayes.glm import DegeneratePosteriorError, _direct_lme, reference_prior
+from ngbayes import glm
+from ngbayes.experiments import PolySweepConfig, run_poly_sweep
+from ngbayes.glm import (
+    DegeneratePosteriorError,
+    EvidenceConsistencyError,
+    _direct_lme,
+    reference_prior,
+)
 from ngbayes.numerics import digamma
 
 from conftest import random_spd
@@ -376,3 +385,126 @@ class TestDegenerateRate:
     def test_error_type_exists(self):
         # b_n <= 0 cannot occur in exact arithmetic; the guard still exists.
         assert issubclass(DegeneratePosteriorError, ArithmeticError)
+
+
+def column_prior(prior, r):
+    """Column r of a batched normal-gamma as a single distribution."""
+    return NormalGammaParams(mu=prior.mu[:, r], lam=prior.lam, shape=prior.shape,
+                             rate=prior.rate[r])
+
+
+def assert_columns_match(batch, single, scale):
+    """Batch entries equal the R = 1 results to rtol 1e-12 of their terms' size."""
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestResponseMatrix:
+    """R responses sharing one design are R single fits done once."""
+
+    @given(k=st.integers(1, 6), extra=st.integers(0, 12), R=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_single_fits(self, k, extra, R, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        X = rng.standard_normal((n, k))
+        Y = X @ rng.standard_normal((k, R)) + rng.standard_normal((n, R))
+        prior = NormalGammaParams(mu=rng.standard_normal((k, R)), lam=random_spd(rng, k),
+                                  shape=rng.uniform(0.5, 3.0), rate=rng.uniform(0.5, 3.0, R))
+        data = GlmDataset(y=Y, X=X)
+        fit = log_model_evidence(data, prior)
+        post, q = fit.posterior, fit.quality
+        assert post.mu.shape == (k, R) and post.rate.shape == (R,)
+        assert q.lme.shape == q.accuracy.shape == q.complexity.shape == (R,)
+        for r in range(R):
+            single = log_model_evidence(GlmDataset(y=Y[:, r], X=X), column_prior(prior, r))
+            sq = single.quality
+            np.testing.assert_allclose(post.mu[:, r], single.posterior.mu, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(single.posterior.mu)))
+            np.testing.assert_array_equal(post.lam.entries, single.posterior.lam.entries)
+            assert post.shape == single.posterior.shape
+            scale = max(1.0, abs(sq.accuracy), abs(sq.complexity))
+            assert_columns_match(post.rate[r], single.posterior.rate, single.posterior.rate)
+            assert_columns_match(q.accuracy[r], sq.accuracy, scale)
+            assert_columns_match(q.complexity[r], sq.complexity, scale)
+            assert_columns_match(q.lme[r], sq.lme, scale)
+
+    def test_single_prior_broadcasts_over_columns(self, rng):
+        X = rng.standard_normal((9, 3))
+        Y = rng.standard_normal((9, 4))
+        fit = log_model_evidence(GlmDataset(y=Y, X=X), unit_prior(3))
+        for r in range(4):
+            single = log_model_evidence(GlmDataset(y=Y[:, r], X=X), unit_prior(3))
+            assert fit.quality.lme[r] == pytest.approx(single.quality.lme, rel=1e-12)
+
+    def test_training_posterior_matches_stacked_rows(self, rng):
+        # Unequal n and a per-session AR(1) noise precision.
+        p, R = 3, 4
+        sessions = []
+        for n, rho in ((11, 0.4), (7, -0.3), (15, 0.8), (9, 0.0)):
+            X = rng.standard_normal((n, p))
+            Y = X @ rng.standard_normal((p, R)) + rng.standard_normal((n, R))
+            sessions.append(GlmDataset(y=Y, X=X, P=SpdMatrix(ar1_precision(n, rho))))
+        prior = reference_prior(p)
+        for i in range(len(sessions)):
+            train = [s for j, s in enumerate(sessions) if j != i]
+            got = fit_posterior(train, prior)
+            stacked = fit_posterior(GlmDataset(y=np.concatenate([s.y for s in train]),
+                                               X=np.vstack([s.X for s in train])), prior)
+            np.testing.assert_allclose(got.mu, stacked.mu, rtol=1e-12)
+            np.testing.assert_allclose(got.lam.entries, stacked.lam.entries, rtol=1e-12)
+            assert got.shape == stacked.shape
+            np.testing.assert_allclose(got.rate, stacked.rate, rtol=1e-12)
+
+    def test_cv_columns_match_single_cv(self, rng):
+        p, R = 2, 3
+        ys, Xs = [], []
+        for n in (8, 12, 10):
+            Xs.append(rng.standard_normal((n, p)))
+            ys.append(Xs[-1] @ rng.standard_normal((p, R)) + rng.standard_normal((n, R)))
+        got = cv_model_quality(GlmDataset(y=y, X=X) for y, X in zip(ys, Xs))
+        for r in range(R):
+            single = cv_model_quality(GlmDataset(y=y[:, r], X=X) for y, X in zip(ys, Xs))
+            scale = max(1.0, abs(single.accuracy), abs(single.complexity))
+            assert_columns_match(got.lme[r], single.lme, scale)
+            assert_columns_match(got.accuracy[r], single.accuracy, scale)
+            assert_columns_match(got.complexity[r], single.complexity, scale)
+
+    def test_sessions_must_agree_on_response_count(self, rng):
+        X = rng.standard_normal((6, 2))
+        sessions = [GlmDataset(y=rng.standard_normal((6, 3)), X=X),
+                    GlmDataset(y=rng.standard_normal((6, 2)), X=X)]
+        with pytest.raises(ValueError, match="response count"):
+            cv_model_quality(sessions)
+        with pytest.raises(ValueError, match="response counts"):
+            fit_posterior(sessions, unit_prior(2))
+
+    def test_non_finite_response_rejected(self, rng):
+        Y = rng.standard_normal((5, 4))
+        Y[3, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            GlmDataset(y=Y, X=rng.standard_normal((5, 2)))
+
+    def test_overflow_names_column(self, rng):
+        X = np.ones((2, 1))
+        Y = np.array([[1.0, 1e308, 2.0], [0.5, 1.0, 3.0]])
+        with pytest.raises(DegeneratePosteriorError, match="overflow.*column 1"):
+            fit_posterior(GlmDataset(y=Y, X=X), unit_prior(1))
+
+    def test_forced_evidence_failure_names_column(self, rng, monkeypatch):
+        direct = glm._direct_lme
+
+        def off_in_column_2(data, prior, posterior):
+            value = np.array(direct(data, prior, posterior), dtype=float)
+            value[..., 2] += 1.0
+            return value
+
+        monkeypatch.setattr(glm, "_direct_lme", off_in_column_2)
+        X = rng.standard_normal((8, 2))
+        with pytest.raises(EvidenceConsistencyError, match="column 2"):
+            log_model_evidence(GlmDataset(y=rng.standard_normal((8, 4)), X=X), unit_prior(2))
+        with pytest.raises(EvidenceConsistencyError, match="order 0: column 2"):
+            run_poly_sweep(PolySweepConfig(n_simulations=4, p_max=6, master_seed=1))
+        sessions = [GlmDataset(y=rng.standard_normal((8, 3)), X=X) for _ in range(3)]
+        with pytest.raises(EvidenceConsistencyError, match="fold 0: column 2"):
+            cv_model_quality(sessions)
