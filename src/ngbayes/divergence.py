@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GammaParams, MvNormalParams, NormalGammaParams, RngStream
+from .distributions import (
+    GammaParams, MvNormalParams, NormalGammaParams, RngStream, logpdf_gamma, logpdf_mvn,
+    logpdf_ng, sample_gamma, sample_mvn, sample_ng,
+)
 from .numerics import digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
@@ -134,13 +137,16 @@ def kl_monte_carlo(
 
     ``sampler_p(rng, size)`` must return a batch of samples from P;
     ``logpdf_p`` / ``logpdf_q`` must accept such a batch. The estimate is
-    the sample mean of log p - log q with its standard error.
+    the sample mean of log p - log q with its standard error. Batch means
+    and sums of squared deviations are merged by Chan, Golub & LeVeque
+    (1979), not as sum(d^2)/n - mean^2, which cancels to 0 when the mean is
+    large against the spread; a standard error of 0 means a constant log-ratio.
     """
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError("kl_monte_carlo requires n_samples >= 100")
-    total = 0.0
-    total_sq = 0.0
+    mean = 0.0
+    m2 = 0.0
     done = 0
     while done < n_samples:
         m = min(batch_size, n_samples - done)
@@ -151,20 +157,18 @@ def kl_monte_carlo(
             raise ArithmeticError(
                 f"non-finite log-density at sample {done + bad}"
             )
-        total += float(np.sum(diff))
-        total_sq += float(np.sum(diff * diff))
+        batch_mean = float(np.mean(diff))
+        delta = batch_mean - mean
+        m2 += float(np.sum((diff - batch_mean) ** 2)) + delta * delta * done * m / (done + m)
+        mean += delta * m / (done + m)
         done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    se = math.sqrt(var / n_samples)
+    se = math.sqrt(m2 / n_samples / n_samples)
     return KlEstimate(value=mean, standard_error=se, sample_count=n_samples)
 
 
 def kl_monte_carlo_mvn(p: MvNormalParams, q: MvNormalParams,
                        n_samples: int, rng: RngStream) -> KlEstimate:
     """Monte Carlo KL for the normal family."""
-    from .distributions import logpdf_mvn, sample_mvn
-
     return kl_monte_carlo(
         lambda x: logpdf_mvn(x, p),
         lambda x: logpdf_mvn(x, q),
@@ -177,8 +181,6 @@ def kl_monte_carlo_mvn(p: MvNormalParams, q: MvNormalParams,
 def kl_monte_carlo_gamma(p: GammaParams, q: GammaParams,
                          n_samples: int, rng: RngStream) -> KlEstimate:
     """Monte Carlo KL for the gamma family."""
-    from .distributions import logpdf_gamma, sample_gamma
-
     return kl_monte_carlo(
         lambda y: logpdf_gamma(y, p),
         lambda y: logpdf_gamma(y, q),
@@ -191,8 +193,6 @@ def kl_monte_carlo_gamma(p: GammaParams, q: GammaParams,
 def kl_monte_carlo_ng(p: NormalGammaParams, q: NormalGammaParams,
                       n_samples: int, rng: RngStream) -> KlEstimate:
     """Monte Carlo KL for the normal-gamma family."""
-    from .distributions import logpdf_ng, sample_ng
-
     return kl_monte_carlo(
         lambda s: logpdf_ng(s[0], s[1], p),
         lambda s: logpdf_ng(s[0], s[1], q),

@@ -74,6 +74,12 @@ class TestKlCommand:
         status, _, _ = run_cli(capsys, "frobnicate")
         assert status == 1
 
+    def test_list_gamma_shape_is_usage_error(self, capsys):
+        p = '{"mu": [0], "Lambda": [[1]], "a": [1], "b": 1}'
+        status, _, err = run_cli(capsys, "kl", "ng", "--p", p, "--q", "a=1,b=1")
+        assert status == 1
+        assert err.startswith("error: ") and "gamma shape" in err
+
 
 class TestFitCommand:
     def write_hand_files(self, tmp_path, with_p=True):
@@ -160,6 +166,14 @@ class TestFitCommand:
         status, _, err = run_cli(capsys, "fit", str(files["data"]), str(files["prior"]))
         assert status == 1
         assert err.startswith("error: ") and "JSON object" in err
+
+    def test_list_gamma_shape_is_usage_error(self, capsys, tmp_path):
+        data_file, prior_file = self.write_hand_files(tmp_path)
+        Path(prior_file).write_text(json.dumps(
+            {"mu0": [0.0], "Lambda0": [[1.0]], "a0": [1], "b0": 1.0}))
+        status, _, err = run_cli(capsys, "fit", data_file, prior_file)
+        assert status == 1
+        assert err.startswith("error: ") and "gamma shape" in err
 
     def test_overflow_is_named(self, capsys, tmp_path):
         _, prior_file = self.write_hand_files(tmp_path)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from ngbayes import (
@@ -18,7 +20,9 @@ from ngbayes import (
     sample_ng,
 )
 
-from conftest import random_ng
+from ngbayes.distributions import _quad_form
+
+from conftest import random_ng, random_spd
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -168,3 +172,71 @@ class TestRngStream:
         a = RngStream(1, 2).child(5).generator.random(8)
         b = RngStream(1, 2).child(5).generator.random(8)
         np.testing.assert_array_equal(a, b)
+
+    def test_parent_that_only_spawns_builds_no_generator(self):
+        parent = RngStream(1, 2)
+        parent.child(0).generator.random(8)
+        assert "generator" not in vars(parent)
+
+
+def scaled_precision(rng, k, log10_cond):
+    """D C D with C well conditioned and D spanning 10**(log10_cond / 2).
+
+    cond(D C D) reaches about 10**log10_cond, yet each quadratic form stays
+    well posed, so any gap above rounding is an error of the kernel. (With
+    a rotated spectrum of the same condition, d^T Lambda d itself loses up
+    to eps * cond of its digits under either formula.)
+    """
+    scale = np.logspace(0.0, log10_cond / 2.0, k)
+    rng.shuffle(scale)
+    c = random_spd(rng, k).entries
+    return SpdMatrix(scale[:, None] * c * scale[None, :])
+
+
+def assert_close_per_coordinate(x, ref, sd):
+    """rtol 1e-12, where an entry near 0 is judged on its coordinate's spread sd."""
+    np.testing.assert_array_less(np.abs(x - ref), 1e-12 * (np.abs(ref) + sd))
+
+
+kernel_cases = dict(
+    k=st.integers(1, 21),
+    log10_cond=st.floats(0.0, 8.0),
+    m=st.one_of(st.none(), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestWhitenedKernels:
+    @given(**kernel_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_quadratic_form_matches_dense(self, k, log10_cond, m, seed):
+        rng = np.random.default_rng(seed)
+        lam = scaled_precision(rng, k, log10_cond)
+        d = rng.standard_normal(k if m is None else (m, k)) * 10.0 ** rng.uniform(-3, 3)
+        dense = np.einsum("...i,ij,...j->...", d, lam.entries, d)
+        quad = _quad_form(lam.chol, d)
+        assert np.shape(quad) == np.shape(dense)
+        np.testing.assert_allclose(quad, dense, rtol=1e-12, atol=0.0)
+
+    @given(**kernel_cases)
+    @settings(max_examples=60, deadline=None)
+    def test_samplers_match_triangular_solve(self, k, log10_cond, m, seed):
+        rng = np.random.default_rng(seed)
+        lam = scaled_precision(rng, k, log10_cond)
+        mu = rng.uniform(-1.0, 1.0, k)
+        n = 1 if m is None else m
+        sd = np.sqrt(np.diag(np.linalg.inv(lam.entries)))
+
+        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(seed), size=m)
+        z = RngStream(seed).generator.standard_normal((k, n))
+        ref = (mu[:, None] + np.linalg.solve(lam.chol.T, z)).T
+        assert_close_per_coordinate(np.reshape(x, (n, k)), ref, sd)
+
+        params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
+        x, y = sample_ng(params, RngStream(seed), size=m)
+        gen = RngStream(seed).generator
+        y_ref = gen.gamma(2.0, 1.0 / 1.5, size=n)
+        ref = (mu[:, None] + np.linalg.solve(lam.chol.T, gen.standard_normal((k, n)))
+               / np.sqrt(y_ref)).T
+        np.testing.assert_array_equal(np.reshape(y, n), y_ref)
+        assert_close_per_coordinate(np.reshape(x, (n, k)), ref, sd / np.sqrt(y_ref)[:, None])

@@ -164,6 +164,18 @@ class TestMonteCarloEstimator:
         b = kl_monte_carlo_gamma(p, q, 50_000, RngStream(16))
         assert a == b
 
+    def test_standard_error_survives_large_offset(self):
+        # log p - log q = 1e9 + N(0, 1): sum(d^2)/n - mean^2 cancels to 0 here.
+        est = kl_monte_carlo(
+            lambda s: 1e9 + s,
+            lambda s: np.zeros_like(s),
+            lambda r, m: r.generator.standard_normal(m),
+            1_000_000,
+            RngStream(18),
+        )
+        assert est.value == pytest.approx(1e9, abs=0.01)
+        assert est.standard_error == pytest.approx(1e-3, rel=0.01)
+
     def test_nonfinite_logpdf_reported(self):
         with pytest.raises(ArithmeticError, match="sample"):
             kl_monte_carlo(
