@@ -20,6 +20,7 @@ from .divergence import (
     expected_conditional_mvn_kl,
     kl_gamma,
     kl_monte_carlo,
+    kl_monte_carlo_pair,
     kl_mvn,
     kl_normal_gamma,
 )

@@ -3,12 +3,15 @@
 Subcommands: ``kl`` (closed-form divergences with an optional Monte Carlo
 check), ``fit`` (single GLM fit from JSON files), ``sweep`` (polynomial
 model-order experiment) and ``cv-study`` (multi-session cross-validation
-study). Exit status: 0 success, 1 usage/config/IO error, 2 check failure.
+study). ``kl --check`` uses one Monte Carlo entry for every family, and
+both studies run through one command. Exit status: 0 success, 1
+usage/config/IO error, 2 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,14 +19,7 @@ import sys
 import numpy as np
 
 from .distributions import GammaParams, MvNormalParams, NormalGammaParams, RngStream
-from .divergence import (
-    kl_gamma,
-    kl_monte_carlo_gamma,
-    kl_monte_carlo_mvn,
-    kl_monte_carlo_ng,
-    kl_mvn,
-    kl_normal_gamma,
-)
+from .divergence import kl_gamma, kl_monte_carlo_pair, kl_mvn, kl_normal_gamma
 from .experiments import (
     CvStudyConfig,
     PolySweepConfig,
@@ -110,8 +106,6 @@ def _params_from_doc(family: str, doc: dict):
 
 
 _KL_CLOSED = {"gamma": kl_gamma, "mvn": kl_mvn, "ng": kl_normal_gamma}
-_KL_MC = {"gamma": kl_monte_carlo_gamma, "mvn": kl_monte_carlo_mvn,
-          "ng": kl_monte_carlo_ng}
 
 
 def _cmd_kl(args) -> int:
@@ -121,7 +115,7 @@ def _cmd_kl(args) -> int:
     report = {"family": args.family, "kl": closed}
     status = EXIT_OK
     if args.check:
-        est = _KL_MC[args.family](p, q, args.mc_samples, RngStream(args.seed))
+        est = kl_monte_carlo_pair(p, q, args.mc_samples, RngStream(args.seed))
         ok = abs(closed - est.value) <= 3.0 * est.standard_error or est.standard_error == 0.0
         report.update(
             mc_value=est.value,
@@ -165,38 +159,24 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config, PolySweepConfig)
-    if args.seed is not None:
-        config = PolySweepConfig(**{**config.__dict__, "master_seed": args.seed})
-    result = run_poly_sweep(config)
-    write_sweep_csv(result, args.out)
+def _sweep_summary(result) -> dict:
     i = int(np.flatnonzero(result.orders == result.argmax_order)[0])
-    print(json.dumps({
-        "config": config.__dict__,
-        "argmax_order": result.argmax_order,
-        "mean_lme": result.mean_lme[i],
-        "mean_acc": result.mean_acc[i],
-        "mean_com": result.mean_com[i],
-        "csv": str(args.out),
-    }))
-    return EXIT_OK
+    return {"argmax_order": result.argmax_order, "mean_lme": result.mean_lme[i],
+            "mean_acc": result.mean_acc[i], "mean_com": result.mean_com[i]}
 
 
-def _cmd_cv_study(args) -> int:
-    config = load_config(args.config, CvStudyConfig)
+def _cv_summary(result) -> dict:
+    return {"mean_delta_cvlme": result.mean_delta_lme, "mean_delta_acc": result.mean_delta_acc,
+            "mean_delta_com": result.mean_delta_com, "selection_rate_b": result.selection_rate_b}
+
+
+def _cmd_study(args) -> int:
+    config = load_config(args.config, args.config_type)
     if args.seed is not None:
-        config = CvStudyConfig(**{**config.__dict__, "master_seed": args.seed})
-    result = run_cv_study(config)
-    write_cv_csv(result, args.out)
-    print(json.dumps({
-        "config": config.__dict__,
-        "mean_delta_cvlme": result.mean_delta_lme,
-        "mean_delta_acc": result.mean_delta_acc,
-        "mean_delta_com": result.mean_delta_com,
-        "selection_rate_b": result.selection_rate_b,
-        "csv": str(args.out),
-    }))
+        config = dataclasses.replace(config, master_seed=args.seed)
+    result = args.run(config)
+    args.write(result, args.out)
+    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out)}))
     return EXIT_OK
 
 
@@ -221,17 +201,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("prior", help="JSON file with mu0, Lambda0, a0, b0")
     fit.set_defaults(func=_cmd_fit)
 
-    sweep = sub.add_parser("sweep", help="polynomial model-order sweep")
-    sweep.add_argument("config", help="JSON config (PolySweepConfig fields)")
-    sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--seed", type=int, default=None, help="override master_seed")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    cv = sub.add_parser("cv-study", help="multi-session cross-validation study")
-    cv.add_argument("config", help="JSON config (CvStudyConfig fields)")
-    cv.add_argument("--out", required=True, help="output CSV path")
-    cv.add_argument("--seed", type=int, default=None, help="override master_seed")
-    cv.set_defaults(func=_cmd_cv_study)
+    # Built per call, so the study functions are looked up when main() runs.
+    for name, help_text, config_type, run, write, summary in (
+        ("sweep", "polynomial model-order sweep", PolySweepConfig,
+         run_poly_sweep, write_sweep_csv, _sweep_summary),
+        ("cv-study", "multi-session cross-validation study", CvStudyConfig,
+         run_cv_study, write_cv_csv, _cv_summary),
+    ):
+        study = sub.add_parser(name, help=help_text)
+        study.add_argument("config", help=f"JSON config ({config_type.__name__} fields)")
+        study.add_argument("--out", required=True, help="output CSV path")
+        study.add_argument("--seed", type=int, default=None, help="override master_seed")
+        study.set_defaults(func=_cmd_study, config_type=config_type, run=run,
+                           write=write, summary=summary)
     return parser
 
 

@@ -4,7 +4,9 @@ Three families: multivariate normal (precision-parameterized), univariate
 gamma (shape/rate) and their normal-gamma composite. The precision form is
 primary because every downstream formula (KL divergences, GLM posterior)
 is written in terms of precision matrices; covariances are derived on
-demand.
+demand. One normal log-density serves both normal families: the
+normal-gamma log-density is it at precision y lam, plus the gamma
+log-density of y.
 
 Densities and samplers are whitened by the precision's Cholesky factor L
 (precision = L L^T): a quadratic form d^T precision d is ||L^T d||^2, and a
@@ -156,20 +158,24 @@ def _quad_form(chol: np.ndarray, d: np.ndarray):
     return np.einsum("i...,i...->...", w, w)
 
 
+def _normal_logpdf(x, mean, lam: SpdMatrix, y=1.0):
+    """Log-density of N(mean, (y lam)^-1) at x of shape (k,) or (m, k), y matching."""
+    x = np.asarray(x, dtype=float)
+    k = lam.dim
+    if x.ndim not in (1, 2) or x.shape[-1] != k:
+        raise ValueError(f"x has shape {x.shape}, expected (..., {k})")
+    quad = _quad_form(lam.chol, x - mean)
+    return 0.5 * (k * np.log(y) + logdet_spd(lam)) - 0.5 * k * _LN_2PI - 0.5 * y * quad
+
+
 def logpdf_mvn(x, params: MvNormalParams):
     """Log-density of N(mu, precision^-1) at x.
 
     Accepts a single point of shape (k,) or a batch of shape (m, k);
     returns a scalar or an (m,) array accordingly.
     """
-    x = np.asarray(x, dtype=float)
-    k = params.dim
-    batch = x.ndim == 2
-    if (batch and x.shape[1] != k) or (not batch and x.shape != (k,)):
-        raise ValueError(f"x has shape {x.shape}, expected (..., {k})")
-    quad = _quad_form(params.precision.chol, x - params.mean)
-    out = 0.5 * logdet_spd(params.precision) - 0.5 * k * _LN_2PI - 0.5 * quad
-    return out if batch else float(out)
+    out = _normal_logpdf(x, params.mean, params.precision)
+    return float(out) if out.ndim == 0 else out
 
 
 def logpdf_gamma(y, params: GammaParams):
@@ -188,21 +194,10 @@ def logpdf_ng(x, y, params: NormalGammaParams):
     Equals logpdf_mvn(x; mu, y * lam) + logpdf_gamma(y); vectorized over
     matched batches of x (m, k) and y (m,).
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    k = params.dim
-    batch = x.ndim == 2
-    if (batch and x.shape[1] != k) or (not batch and x.shape != (k,)):
-        raise ValueError(f"x has shape {x.shape}, expected (..., {k})")
     if np.any(y <= 0.0):
         raise ValueError("normal-gamma log-density requires y > 0")
-    quad = _quad_form(params.lam.chol, x - params.mu)
-    normal_part = (
-        0.5 * (k * np.log(y) + logdet_spd(params.lam))
-        - 0.5 * k * _LN_2PI
-        - 0.5 * y * quad
-    )
-    out = normal_part + logpdf_gamma(y, params.gamma)
+    out = _normal_logpdf(x, params.mu, params.lam, y) + logpdf_gamma(y, params.gamma)
     return float(out) if out.ndim == 0 else out
 
 

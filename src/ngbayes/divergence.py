@@ -1,10 +1,11 @@
 """Closed-form KL divergences plus a Monte Carlo estimator used as oracle.
 
-The normal-gamma divergence is computed as the chain-rule sum of the
-expected conditional normal divergence and the gamma divergence, so the
-additivity property holds to floating-point exactness by construction.
-The gamma and normal-gamma divergences also take batches (see
-``NormalGammaParams``) and then return one value per column.
+One normal kernel serves both normal families: the normal KL is it at
+precision scale 1, and the normal-gamma KL is it at the scale's mean
+E[y] = a/b plus the gamma KL of the scales, a chain-rule sum that holds to
+floating-point exactness by construction. The gamma and normal-gamma KLs
+also take batches (see ``NormalGammaParams``), one value per column. One
+Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from .numerics import digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
     "KlEstimate", "NegativeDivergenceError", "kl_mvn", "kl_gamma", "kl_normal_gamma",
-    "expected_conditional_mvn_kl", "kl_monte_carlo",
+    "expected_conditional_mvn_kl", "kl_monte_carlo", "kl_monte_carlo_pair",
 ]
 
 # Closed-form results below this are implementation bugs, not rounding.
 _NEGATIVE_TOL = -1e-10
+
+# Samples drawn and scored per batch by ``kl_monte_carlo``.
+MC_BATCH_SIZE = 1 << 18
 
 
 class NegativeDivergenceError(ArithmeticError):
@@ -49,6 +53,8 @@ class KlEstimate:
 
 
 def _clamp(value):
+    if not np.all(np.isfinite(value)):
+        raise ArithmeticError(f"closed-form KL evaluated to {value}, not a finite number")
     if np.any(value < _NEGATIVE_TOL):
         raise NegativeDivergenceError(
             f"closed-form KL evaluated to {value}, below the rounding tolerance"
@@ -56,19 +62,30 @@ def _clamp(value):
     return np.maximum(value, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _normal_kl(mu_p, lam_p, mu_q, lam_q, weight):
+    """KL[N(mu_p, (y lam_p)^-1) || N(mu_q, (y lam_q)^-1)] averaged over y, E[y] = weight.
+
+    Only the mean term scales with y. Means (k, R) give one value per column;
+    an overflow gives a non-finite value, which ``_clamp`` rejects.
+    """
+    k = lam_p.dim
+    if lam_q.dim != k:
+        raise ValueError(f"dimension mismatch: {k} vs {lam_q.dim}")
+    batch = np.broadcast_shapes(mu_p.shape[1:], mu_q.shape[1:])
+    d = mu_q.reshape(k, -1) - mu_p.reshape(k, -1)  # one column per batch member
+    quad = np.sum(d * (lam_q.entries @ d), axis=0).reshape(batch)
+    trace = float(np.trace(spd_solve(lam_p, lam_q.entries)))
+    logdet_term = logdet_spd(lam_q) - logdet_spd(lam_p)
+    return 0.5 * weight * quad + 0.5 * trace - 0.5 * logdet_term - 0.5 * k
+
+
 def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
     """KL[P || Q] for two multivariate normals of equal dimension."""
-    k = p.dim
-    if q.dim != k:
-        raise ValueError(f"dimension mismatch: {k} vs {q.dim}")
     if p is q or (np.array_equal(p.mean, q.mean)
                   and np.array_equal(p.precision.entries, q.precision.entries)):
         return 0.0
-    d = q.mean - p.mean
-    quad = float(d @ q.precision.entries @ d)
-    trace = float(np.trace(spd_solve(p.precision, q.precision.entries)))
-    logdet_term = logdet_spd(p.precision) - logdet_spd(q.precision)
-    return _clamp(0.5 * (quad + trace + logdet_term - k))
+    return _clamp(_normal_kl(p.mean, p.precision, q.mean, q.precision, 1.0))
 
 
 def kl_gamma(p: GammaParams, q: GammaParams):
@@ -88,23 +105,9 @@ def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams):
     """Conditional normal KL, averaged over the precision scale of P.
 
     Averaging KL[N(mu1, (y L1)^-1) || N(mu2, (y L2)^-1)] over
-    y ~ Gam(a1, b1) replaces y in the mean term by its expectation a1/b1;
-    the remaining terms are scale-free.
+    y ~ Gam(a1, b1) replaces y in the mean term by its expectation a1/b1.
     """
-    k = p.dim
-    if q.dim != k:
-        raise ValueError(f"dimension mismatch: {k} vs {q.dim}")
-    batch = np.broadcast_shapes(np.shape(p.rate), np.shape(q.rate))
-    d = q.mu.reshape(k, -1) - p.mu.reshape(k, -1)  # one column per batch member
-    quad = np.sum(d * (q.lam.entries @ d), axis=0).reshape(batch)
-    trace = float(np.trace(spd_solve(p.lam, q.lam.entries)))
-    logdet_term = logdet_spd(q.lam) - logdet_spd(p.lam)
-    return (
-        0.5 * (p.shape / p.rate) * quad
-        + 0.5 * trace
-        - 0.5 * logdet_term
-        - 0.5 * k
-    )
+    return _normal_kl(p.mu, p.lam, q.mu, q.lam, p.shape / p.rate)
 
 
 def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
@@ -125,14 +128,7 @@ def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
     )
 
 
-def kl_monte_carlo(
-    logpdf_p,
-    logpdf_q,
-    sampler_p,
-    n_samples: int,
-    rng: RngStream,
-    batch_size: int = 1 << 18,
-) -> KlEstimate:
+def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int, rng: RngStream) -> KlEstimate:
     """Direct Monte Carlo estimate of KL[P || Q].
 
     ``sampler_p(rng, size)`` must return a batch of samples from P;
@@ -149,7 +145,7 @@ def kl_monte_carlo(
     m2 = 0.0
     done = 0
     while done < n_samples:
-        m = min(batch_size, n_samples - done)
+        m = min(MC_BATCH_SIZE, n_samples - done)
         samples = sampler_p(rng, m)
         diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
         if not np.all(np.isfinite(diff)):
@@ -166,37 +162,19 @@ def kl_monte_carlo(
     return KlEstimate(value=mean, standard_error=se, sample_count=n_samples)
 
 
-def kl_monte_carlo_mvn(p: MvNormalParams, q: MvNormalParams,
-                       n_samples: int, rng: RngStream) -> KlEstimate:
-    """Monte Carlo KL for the normal family."""
-    return kl_monte_carlo(
-        lambda x: logpdf_mvn(x, p),
-        lambda x: logpdf_mvn(x, q),
-        lambda r, m: sample_mvn(p, r, size=m),
-        n_samples,
-        rng,
-    )
+def kl_monte_carlo_pair(p, q, n_samples: int, rng: RngStream) -> KlEstimate:
+    """Monte Carlo KL[P || Q] for two parameter records of the family of ``p``.
 
-
-def kl_monte_carlo_gamma(p: GammaParams, q: GammaParams,
-                         n_samples: int, rng: RngStream) -> KlEstimate:
-    """Monte Carlo KL for the gamma family."""
-    return kl_monte_carlo(
-        lambda y: logpdf_gamma(y, p),
-        lambda y: logpdf_gamma(y, q),
-        lambda r, m: sample_gamma(p, r, size=m),
-        n_samples,
-        rng,
-    )
-
-
-def kl_monte_carlo_ng(p: NormalGammaParams, q: NormalGammaParams,
-                      n_samples: int, rng: RngStream) -> KlEstimate:
-    """Monte Carlo KL for the normal-gamma family."""
-    return kl_monte_carlo(
-        lambda s: logpdf_ng(s[0], s[1], p),
-        lambda s: logpdf_ng(s[0], s[1], q),
-        lambda r, m: sample_ng(p, r, size=m),
-        n_samples,
-        rng,
-    )
+    The sampler and log-density are looked up by module name at each call,
+    so a rebinding of those names (a tracer, a test double) is seen.
+    """
+    if isinstance(p, GammaParams):
+        sample, logpdf = sample_gamma, logpdf_gamma
+    elif isinstance(p, MvNormalParams):
+        sample, logpdf = sample_mvn, logpdf_mvn
+    elif isinstance(p, NormalGammaParams):
+        sample, logpdf = sample_ng, lambda s, params: logpdf_ng(s[0], s[1], params)
+    else:
+        raise TypeError(f"no Monte Carlo KL for {type(p).__name__}")
+    return kl_monte_carlo(lambda s: logpdf(s, p), lambda s: logpdf(s, q),
+                          lambda r, m: sample(p, r, size=m), n_samples, rng)

@@ -34,11 +34,18 @@ CV_CSV_HEADER = "replication,cvlme_a,cvlme_b,acc_a,acc_b,com_a,com_b"
 PM_WEIGHTS = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
+# JSON value types accepted per config field annotation (a string here); bools never.
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 def _config_from_dict(cls, doc: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[types[name]]):
+            raise ValueError(f"config field {name} must be of type {types[name]}, got {value!r}")
     return cls(**doc)
 
 
@@ -61,10 +68,6 @@ class PolySweepConfig:
             raise ValueError("require p_min <= p_true <= p_max with p_min >= 0")
         if self.noise_variance < 0.0:
             raise ValueError("noise variance must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PolySweepConfig":
-        return _config_from_dict(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -107,10 +110,6 @@ class CvStudyConfig:
             raise ValueError(f"generator must be 'A' or 'B', got {self.generator!r}")
         if self.noise_variance <= 0.0:
             raise ValueError("noise variance must be positive")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CvStudyConfig":
-        return _config_from_dict(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -253,34 +252,23 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
                          acc_b=qb.accuracy, com_a=qa.complexity, com_b=qb.complexity)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
-
-
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per model order; 12 significant digits, LF endings."""
-    lines = [SWEEP_CSV_HEADER]
-    for i, order in enumerate(result.orders):
-        lines.append(
-            f"{int(order)},{_fmt(result.mean_lme[i])},"
-            f"{_fmt(result.mean_acc[i])},{_fmt(result.mean_com[i])}"
-        )
-    _write_lines(path, lines)
+    _write_table(path, SWEEP_CSV_HEADER, result.orders,
+                 (result.mean_lme, result.mean_acc, result.mean_com))
 
 
 def write_cv_csv(result: CvStudyResult, path) -> None:
     """One row per replication of the cross-validation study."""
-    lines = [CV_CSV_HEADER]
-    for i in range(result.n_replications):
-        lines.append(
-            f"{i},{_fmt(result.cvlme_a[i])},{_fmt(result.cvlme_b[i])},"
-            f"{_fmt(result.acc_a[i])},{_fmt(result.acc_b[i])},"
-            f"{_fmt(result.com_a[i])},{_fmt(result.com_b[i])}"
-        )
-    _write_lines(path, lines)
+    _write_table(path, CV_CSV_HEADER, range(result.n_replications),
+                 (result.cvlme_a, result.cvlme_b, result.acc_a, result.acc_b,
+                  result.com_a, result.com_b))
 
 
-def _write_lines(path, lines) -> None:
+def _write_table(path, header: str, index, columns) -> None:
+    """A header, then per row its integer index and each column to 12 digits."""
+    lines = [header] + [",".join([str(int(i))] + [format(float(c[r]), ".12g") for c in columns])
+                        for r, i in enumerate(index)]
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -289,9 +277,9 @@ def _write_lines(path, lines) -> None:
 
 
 def load_config(path, cls):
-    """Read a flat JSON config, rejecting unknown keys."""
+    """Read a flat JSON config, rejecting unknown keys and mistyped values."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must be a JSON object")
-    return cls.from_dict(doc)
+    return _config_from_dict(cls, doc)

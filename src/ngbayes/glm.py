@@ -40,6 +40,9 @@ REFERENCE_PRIOR_PRECISION = 1e-6
 REFERENCE_PRIOR_SHAPE = 1e-3
 REFERENCE_PRIOR_RATE = 1e-3
 
+# Largest gap allowed between the two evidence paths of one response.
+EVIDENCE_CONSISTENCY_TOL = 1e-6
+
 
 class DegeneratePosteriorError(ArithmeticError):
     """Posterior mean or rate overflowed, or the rate came out non-positive."""
@@ -200,25 +203,24 @@ def _direct_lme(data: GlmDataset, prior: NormalGammaParams,
     )
 
 
-def log_model_evidence(data: GlmDataset, prior: NormalGammaParams,
-                       consistency_tol: float = 1e-6) -> GlmFit:
+def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     """Fit the model and return the evidence with its decomposition.
 
     The decomposition path (accuracy minus complexity) is cross-checked
-    against the direct closed form for every response; a mismatch beyond
-    ``consistency_tol`` raises EvidenceConsistencyError naming the column.
+    against the direct closed form for every response; a gap beyond
+    EVIDENCE_CONSISTENCY_TOL raises EvidenceConsistencyError naming the column.
     """
     posterior = fit_posterior(data, prior)
     acc = accuracy(data, posterior)
     com = complexity(prior, posterior)
     lme = acc - com
     direct = _direct_lme(data, prior, posterior)
-    ok = np.abs(lme - direct) <= consistency_tol
+    ok = np.abs(lme - direct) <= EVIDENCE_CONSISTENCY_TOL
     if not np.all(ok):
         j = np.argmin(ok)
         raise EvidenceConsistencyError(
             f"column {j}: decomposition LME {np.reshape(lme, -1)[j]} vs direct LME "
-            f"{np.reshape(direct, -1)[j]} differ by more than {consistency_tol}"
+            f"{np.reshape(direct, -1)[j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
         )
     return GlmFit(prior=prior, posterior=posterior,
                   quality=ModelQuality(lme=lme, accuracy=acc, complexity=com))
@@ -264,8 +266,6 @@ def cv_model_quality(sessions) -> ModelQuality:
     return ModelQuality(lme=lme, accuracy=acc, complexity=com)
 
 
-def cv_log_model_evidence(sessions, prior_policy: str = "leave-one-session-out") -> float:
-    """Cross-validated log model evidence, summed over held-out sessions."""
-    if prior_policy != "leave-one-session-out":
-        raise ValueError(f"unknown prior policy: {prior_policy!r}")
+def cv_log_model_evidence(sessions) -> float:
+    """Leave-one-session-out cross-validated log model evidence, summed over sessions."""
     return cv_model_quality(sessions).lme

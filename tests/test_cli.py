@@ -80,6 +80,18 @@ class TestKlCommand:
         assert status == 1
         assert err.startswith("error: ") and "gamma shape" in err
 
+    @pytest.mark.parametrize("family, p, q", [
+        ("gamma", "a=1e-300,b=1", "a=1e300,b=1e-300"),
+        ("mvn", '{"mu": [1e200], "Lambda": [[1e200]]}', '{"mu": [-1e200], "Lambda": [[1e200]]}'),
+        ("ng", '{"mu": [1e200], "Lambda": [[1e200]], "a": 1, "b": 1}',
+         '{"mu": [-1e200], "Lambda": [[1e200]], "a": 1, "b": 1}'),
+    ])
+    def test_non_finite_kl_is_named_error(self, capsys, family, p, q):
+        # An overflow warning would fail this test (error::RuntimeWarning).
+        status, out, err = run_cli(capsys, "kl", family, "--p", p, "--q", q)
+        assert status == 1 and out == ""
+        assert err.startswith("numerical error: ") and "not a finite number" in err
+
 
 class TestFitCommand:
     def write_hand_files(self, tmp_path, with_p=True):
@@ -239,6 +251,75 @@ class TestCvStudyCommand:
         assert run_cli(capsys, "cv-study", str(cfg), "--out", str(a), "--seed", "3")[0] == 0
         assert run_cli(capsys, "cv-study", str(cfg), "--out", str(b), "--seed", "3")[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("sweep", {"n_simulations": 2.5}, "n_simulations"),
+    ("sweep", {"p_max": "20"}, "p_max"),
+    ("sweep", {"master_seed": True}, "master_seed"),
+    ("cv-study", {"n_sessions": 3.0}, "n_sessions"),
+])
+def test_mistyped_config_field_is_usage_error(capsys, tmp_path, command, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, command, str(cfg), "--out", str(tmp_path / "o.csv"))
+    assert status == 1 and out == ""
+    assert err.startswith("error: config field ") and field in err
+
+
+def test_float_config_field_takes_an_int(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_simulations": 1, "p_max": 5, "noise_variance": 2}))
+    status, out, _ = run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "o.csv"))
+    assert status == 0
+    assert json.loads(out)["config"]["noise_variance"] == 2
+
+
+def test_functions_are_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
+    """Samplers, log-densities and study functions are found by module name per call.
+
+    Rebinding those names (as a tracer does) must reach every call; a table
+    that captured the functions at import would bypass the rebinding.
+    """
+    import ngbayes.cli
+    import ngbayes.divergence
+
+    calls = {}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for kind in ("sample", "logpdf"):
+        for family in ("gamma", "mvn", "ng"):
+            count_calls(ngbayes.divergence, f"{kind}_{family}")
+    for name in ("run_poly_sweep", "run_cv_study"):
+        count_calls(ngbayes.cli, name)
+    pairs = {
+        "gamma": ("a=1,b=1", "a=2,b=1"),
+        "mvn": ('{"mu": [0, 1], "Lambda": [[2, 0], [0, 1]]}',
+                '{"mu": [0, 0], "Lambda": [[1, 0], [0, 1]]}'),
+        "ng": ('{"mu": [0.5], "Lambda": [[2]], "a": 2, "b": 1}',
+               '{"mu": [0], "Lambda": [[1]], "a": 1, "b": 1}'),
+    }
+    for family, (p, q) in pairs.items():
+        status, _, _ = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                               "--check", "--mc-samples", "1000")
+        assert status in (0, 2)  # 2: a failed 3-sigma check, which 1000 samples may give
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_simulations": 2}))
+    assert run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "s.csv"))[0] == 0
+    cfg.write_text(json.dumps({"n_replications": 2}))
+    assert run_cli(capsys, "cv-study", str(cfg), "--out", str(tmp_path / "c.csv"))[0] == 0
+    assert sorted(calls) == sorted(
+        [f"{kind}_{family}" for kind in ("sample", "logpdf") for family in ("gamma", "mvn", "ng")]
+        + ["run_poly_sweep", "run_cv_study"]
+    )
 
 
 def csv_rows(text):

@@ -19,13 +19,7 @@ from ngbayes import (
     sample_gamma,
     sample_mvn,
 )
-from ngbayes.divergence import (
-    KlEstimate,
-    NegativeDivergenceError,
-    kl_monte_carlo_gamma,
-    kl_monte_carlo_mvn,
-    kl_monte_carlo_ng,
-)
+from ngbayes.divergence import KlEstimate, NegativeDivergenceError, kl_monte_carlo_pair
 
 from conftest import random_gamma, random_mvn, random_ng
 
@@ -62,7 +56,7 @@ class TestKlMvn:
 
     def test_matches_monte_carlo(self, rng):
         p, q = random_mvn(rng, 2), random_mvn(rng, 2)
-        est = kl_monte_carlo_mvn(p, q, 200_000, RngStream(11))
+        est = kl_monte_carlo_pair(p, q, 200_000, RngStream(11))
         assert abs(kl_mvn(p, q) - est.value) < 3.0 * est.standard_error
 
     def test_dimension_mismatch(self, rng):
@@ -106,7 +100,7 @@ class TestKlNormalGamma:
 
     def test_matches_monte_carlo(self, rng):
         p, q = random_ng(rng, 2), random_ng(rng, 2)
-        est = kl_monte_carlo_ng(p, q, 1_000_000, RngStream(12))
+        est = kl_monte_carlo_pair(p, q, 1_000_000, RngStream(12))
         assert abs(kl_normal_gamma(p, q) - est.value) < 3.0 * est.standard_error
 
     def test_dimension_mismatch(self, rng):
@@ -145,13 +139,13 @@ class TestExpectedConditionalKl:
 class TestMonteCarloEstimator:
     def test_identical_distributions_near_zero(self):
         p = GammaParams(2.0, 1.0)
-        est = kl_monte_carlo_gamma(p, GammaParams(2.0, 1.0), 100_000, RngStream(14))
+        est = kl_monte_carlo_pair(p, GammaParams(2.0, 1.0), 100_000, RngStream(14))
         assert abs(est.value) <= max(3.0 * est.standard_error, 1e-12)
 
     def test_mvn_pair_value(self):
         p = MvNormalParams(mean=[0.0], precision=SpdMatrix.identity(1))
         q = MvNormalParams(mean=[1.0], precision=SpdMatrix.identity(1))
-        est = kl_monte_carlo_mvn(p, q, 500_000, RngStream(15))
+        est = kl_monte_carlo_pair(p, q, 500_000, RngStream(15))
         assert abs(est.value - 0.5) < 3.0 * est.standard_error
 
     def test_requires_min_samples(self):
@@ -160,8 +154,8 @@ class TestMonteCarloEstimator:
 
     def test_partition_independent(self):
         p, q = GammaParams(2.0, 1.0), GammaParams(1.0, 2.0)
-        a = kl_monte_carlo_gamma(p, q, 50_000, RngStream(16))
-        b = kl_monte_carlo_gamma(p, q, 50_000, RngStream(16))
+        a = kl_monte_carlo_pair(p, q, 50_000, RngStream(16))
+        b = kl_monte_carlo_pair(p, q, 50_000, RngStream(16))
         assert a == b
 
     def test_standard_error_survives_large_offset(self):
@@ -207,3 +201,10 @@ class TestNonNegativity:
         with pytest.raises(NegativeDivergenceError):
             _clamp(-1e-6)
         assert _clamp(-1e-12) == 0.0
+
+    def test_non_finite_raises(self):
+        from ngbayes.divergence import _clamp
+
+        for value in (np.inf, np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ArithmeticError, match="not a finite number"):
+                _clamp(value)

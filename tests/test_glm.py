@@ -370,10 +370,6 @@ class TestCrossValidatedEvidence:
         with pytest.raises(ValueError):
             cv_log_model_evidence(sessions)
 
-    def test_unknown_policy_rejected(self, rng):
-        with pytest.raises(ValueError):
-            cv_log_model_evidence(self.make_sessions(rng), prior_policy="sequential")
-
     def test_reference_prior_values(self):
         prior = reference_prior(3)
         assert prior.shape == 1e-3
