@@ -3,15 +3,16 @@
 Three families: multivariate normal (precision-parameterized), univariate
 gamma (shape/rate) and their normal-gamma composite. The precision form is
 primary because every downstream formula (KL divergences, GLM posterior)
-is written in terms of precision matrices; covariances are derived on
-demand. One normal log-density serves both normal families: the
-normal-gamma log-density is it at precision y lam, plus the gamma
-log-density of y.
+is written in terms of precision matrices. One normal log-density serves
+both normal families: the normal-gamma log-density is it at precision
+y lam, plus the gamma log-density of y.
 
 Densities and samplers are whitened by the precision's Cholesky factor L
 (precision = L L^T): a quadratic form d^T precision d is ||L^T d||^2, and a
-draw is mu + L^-T z with L^-T formed once per call as a k x k matrix, so a
-batch costs one small matmul rather than a solve per sample.
+draw is mu + L^-T z / sqrt(y) with L^-T formed once per call as a k x k
+matrix, so a batch costs one small matmul rather than a solve per sample.
+One normal draw serves both normal samplers (y = 1 for the normal), and
+the normal-gamma draws its y through the gamma sampler.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SpdMatrix, log_gamma, logdet_spd, spd_inverse
+from .numerics import SpdMatrix, log_gamma, logdet_spd
 
 __all__ = [
     "GammaParams", "MvNormalParams", "NormalGammaParams", "RngStream", "logpdf_mvn",
@@ -54,10 +55,6 @@ class GammaParams:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rate", rate if rate.ndim else float(rate))
 
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
 
 @dataclass(frozen=True)
 class MvNormalParams:
@@ -81,9 +78,6 @@ class MvNormalParams:
     @property
     def dim(self) -> int:
         return self.precision.dim
-
-    def covariance(self) -> np.ndarray:
-        return spd_inverse(self.precision)
 
 
 @dataclass(frozen=True)
@@ -201,31 +195,27 @@ def logpdf_ng(x, y, params: NormalGammaParams):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_gamma(params: GammaParams, rng: RngStream, size=None):
-    """Draw from Gam(shape, rate); numpy's generator (Marsaglia-Tsang)."""
-    return rng.generator.gamma(params.shape, 1.0 / params.rate, size=size)
+def sample_gamma(params: GammaParams, rng: RngStream, size):
+    """Draw from Gam(shape, rate) (numpy, Marsaglia-Tsang); a draw that underflows to 0 raises."""
+    y = rng.generator.gamma(params.shape, 1.0 / params.rate, size=size)
+    if np.any(y == 0.0):
+        raise ArithmeticError(f"gamma sampler underflowed to 0 at shape {params.shape}")
+    return y
 
 
-def sample_mvn(params: MvNormalParams, rng: RngStream, size=None):
-    """Draw from N(mu, precision^-1).
-
-    Uses the precision Cholesky factor L (precision = L L^T): with
-    z ~ N(0, I), x = mu + L^-T z has the required covariance.
-    """
-    k = params.dim
-    n = 1 if size is None else int(size)
-    z = rng.generator.standard_normal((k, n))
-    x = params.mean[:, None] + np.linalg.solve(params.precision.chol.T, np.eye(k)) @ z
-    return x[:, 0] if size is None else x.T
+def _normal_draw(mean, lam: SpdMatrix, z, y):
+    """Rows of mean + L^-T z / sqrt(y) for z of shape (k, n), with lam = L L^T."""
+    return (mean[:, None] + (np.linalg.solve(lam.chol.T, np.eye(lam.dim)) @ z) / np.sqrt(y)).T
 
 
-def sample_ng(params: NormalGammaParams, rng: RngStream, size=None):
+def sample_mvn(params: MvNormalParams, rng: RngStream, size):
+    """Draw from N(mu, precision^-1) as mu + L^-T z with z ~ N(0, I), precision = L L^T."""
+    z = rng.generator.standard_normal((params.dim, size))
+    return _normal_draw(params.mean, params.precision, z, 1.0)
+
+
+def sample_ng(params: NormalGammaParams, rng: RngStream, size):
     """Draw (x, y) from the normal-gamma: y ~ Gam(a, b), x | y ~ N(mu, (y lam)^-1)."""
-    k = params.dim
-    n = 1 if size is None else int(size)
-    y = rng.generator.gamma(params.shape, 1.0 / params.rate, size=n)
-    z = rng.generator.standard_normal((k, n))
-    x = params.mu[:, None] + (np.linalg.solve(params.lam.chol.T, np.eye(k)) @ z) / np.sqrt(y)
-    if size is None:
-        return x[:, 0], float(y[0])
-    return x.T, y
+    y = sample_gamma(params.gamma, rng, size)
+    z = rng.generator.standard_normal((params.dim, size))
+    return _normal_draw(params.mu, params.lam, z, y), y

@@ -4,10 +4,13 @@ Two experiments: a polynomial model-order sweep in which the log model
 evidence recovers the generating order, and a multi-session study in
 which cross-validated evidence distinguishes a flexible per-condition
 design from a constrained parametric-modulator design generated from the
-same conditions. In both, every replication shares the candidate design,
-so the replications are the columns of one response matrix: the sweep
-makes one evidence call per order and the study one cross-validation per
-design, each fitting all replications at once.
+same conditions. One simulator generates the data of both: per
+replication r, coefficients from child 0 of stream (seed, r), each
+session's noise in turn from child 1, and y = X_gen beta + sigma z. In
+both, every replication shares the candidate design, so the replications
+are the columns of one response matrix: the sweep makes one evidence
+call per order and the study one cross-validation per design, each
+fitting all replications at once.
 """
 
 from __future__ import annotations
@@ -161,21 +164,31 @@ def build_poly_design(x, order: int) -> np.ndarray:
     return np.vander(x, order + 1, increasing=True)
 
 
-def simulate_polynomial(config: PolySweepConfig, replication: int) -> GlmDataset:
-    """Generate one replication: y = X_{p_true} beta + noise, white noise.
+def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: int,
+              n_sessions: int) -> np.ndarray:
+    """Responses X_gen beta + white noise, shape (n_sessions, n, n_replications).
 
-    Coefficients and noise come from separate child streams of
-    (master_seed, replication), so changing n_points does not reshuffle
-    the coefficients.
+    Per replication r, beta (shared by the sessions) comes from child 0 of
+    (master_seed, r) and each session's noise in turn from child 1, so a
+    column does not depend on n_replications.
     """
-    base = RngStream(config.master_seed, replication)
-    beta = base.child(0).generator.standard_normal(config.p_true + 1)
-    noise = np.sqrt(config.noise_variance) * base.child(1).generator.standard_normal(
-        config.n_points
-    )
-    x = equally_spaced(config.n_points)
-    y = build_poly_design(x, config.p_true) @ beta + noise
-    return GlmDataset(y=y, X=build_poly_design(x, config.p_true))
+    n, k = X_gen.shape
+    y = np.empty((n_sessions, n, n_replications))
+    for rep in range(n_replications):
+        base = RngStream(master_seed, rep)
+        beta = base.child(0).generator.standard_normal(k)
+        noise_rng = base.child(1).generator
+        for session in range(n_sessions):
+            z = noise_rng.standard_normal(n)
+            y[session, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
+    return y
+
+
+def simulate_polynomial(config: PolySweepConfig) -> np.ndarray:
+    """Response matrix (n_points, n_simulations) of the order-p_true polynomial, white noise."""
+    X_gen = build_poly_design(equally_spaced(config.n_points), config.p_true)
+    return _simulate(X_gen, config.noise_variance, config.master_seed,
+                     config.n_simulations, 1)[0]
 
 
 def _standard_prior(p: int) -> NormalGammaParams:
@@ -193,8 +206,7 @@ def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
     """
     orders = np.arange(config.p_min, config.p_max + 1)
     x = equally_spaced(config.n_points)
-    y = np.column_stack([simulate_polynomial(config, rep).y
-                         for rep in range(config.n_simulations)])
+    y = simulate_polynomial(config)
     means = np.zeros((3, len(orders)))
     for idx, order in enumerate(orders):
         data = GlmDataset(y=y, X=build_poly_design(x, int(order)))
@@ -237,15 +249,8 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
     X_a = _design_flexible(levels)
     X_b = _design_modulated(levels)
     X_gen = X_b if config.generator == "B" else X_a
-    n = len(levels)
-    y = np.empty((config.n_sessions, n, config.n_replications))
-    for rep in range(config.n_replications):
-        base = RngStream(config.master_seed, rep)
-        beta = base.child(0).generator.standard_normal(X_gen.shape[1])
-        noise_rng = base.child(1).generator
-        for session in range(config.n_sessions):
-            eps = np.sqrt(config.noise_variance) * noise_rng.standard_normal(n)
-            y[session, :, rep] = X_gen @ beta + eps
+    y = _simulate(X_gen, config.noise_variance, config.master_seed,
+                  config.n_replications, config.n_sessions)
     qa = cv_model_quality(GlmDataset(y=ys, X=X_a) for ys in y)
     qb = cv_model_quality(GlmDataset(y=ys, X=X_b) for ys in y)
     return CvStudyResult(cvlme_a=qa.lme, cvlme_b=qb.lme, acc_a=qa.accuracy,

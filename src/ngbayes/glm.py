@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import NormalGammaParams
 from .divergence import kl_normal_gamma
-from .numerics import SpdMatrix, cholesky, digamma, log_gamma, logdet_spd, spd_solve
+from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd, spd_solve
 
 __all__ = [
     "GlmDataset", "GlmFit", "ModelQuality", "DegeneratePosteriorError",
@@ -99,7 +99,7 @@ class GlmDataset:
         if P is not None:
             if P.dim != n:
                 raise ValueError(f"noise precision is {P.dim}x{P.dim}, expected {n}x{n}")
-            lower = cholesky(P)
+            lower = P.chol
             y, X = lower.T @ y, lower.T @ X
             object.__setattr__(self, "logdet_P", logdet_spd(P))
         if np.linalg.matrix_rank(X) < p:

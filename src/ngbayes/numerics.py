@@ -19,7 +19,6 @@ __all__ = [
     "SpdMatrix",
     "log_gamma",
     "digamma",
-    "cholesky",
     "logdet_spd",
     "spd_solve",
 ]
@@ -133,15 +132,6 @@ class SpdMatrix:
     def identity(k: int) -> "SpdMatrix":
         return SpdMatrix(np.eye(k))
 
-    @staticmethod
-    def diagonal(diag) -> "SpdMatrix":
-        return SpdMatrix(np.diag(np.asarray(diag, dtype=float)))
-
-
-def cholesky(a: SpdMatrix) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == a.entries."""
-    return a.chol
-
 
 def logdet_spd(a: SpdMatrix) -> float:
     """ln |A| = 2 * sum(log(diag(L)))."""
@@ -157,8 +147,3 @@ def spd_solve(a: SpdMatrix, b: np.ndarray) -> np.ndarray:
     lower = a.chol
     y = np.linalg.solve(lower, b)
     return np.linalg.solve(lower.T, y)
-
-
-def spd_inverse(a: SpdMatrix) -> np.ndarray:
-    """Dense inverse of an SPD matrix."""
-    return spd_solve(a, np.eye(a.dim))

@@ -92,6 +92,19 @@ class TestKlCommand:
         assert status == 1 and out == ""
         assert err.startswith("numerical error: ") and "not a finite number" in err
 
+    @pytest.mark.parametrize("family, p, q, shape", [
+        ("gamma", "a=0.001,b=1", "a=1,b=1", "0.001"),
+        ("gamma", "a=1e-300,b=1", "a=1,b=1", "1e-300"),
+        ("ng", '{"mu": [0], "Lambda": [[1]], "a": 0.001, "b": 1}',
+         '{"mu": [0], "Lambda": [[1]], "a": 1, "b": 1}', "0.001"),
+    ])
+    def test_gamma_sampler_underflow_is_named_error(self, capsys, family, p, q, shape):
+        # A divide-by-zero warning would fail this test (error::RuntimeWarning).
+        status, out, err = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                                   "--check", "--mc-samples", "1000")
+        assert status == 1 and out == ""
+        assert err == f"numerical error: gamma sampler underflowed to 0 at shape {shape}\n"
+
 
 class TestFitCommand:
     def write_hand_files(self, tmp_path, with_p=True):

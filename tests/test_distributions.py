@@ -227,13 +227,13 @@ class TestWhitenedKernels:
         n = 1 if m is None else m
         sd = np.sqrt(np.diag(np.linalg.inv(lam.entries)))
 
-        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(seed), size=m)
+        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(seed), size=n)
         z = RngStream(seed).generator.standard_normal((k, n))
         ref = (mu[:, None] + np.linalg.solve(lam.chol.T, z)).T
         assert_close_per_coordinate(np.reshape(x, (n, k)), ref, sd)
 
         params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
-        x, y = sample_ng(params, RngStream(seed), size=m)
+        x, y = sample_ng(params, RngStream(seed), size=n)
         gen = RngStream(seed).generator
         y_ref = gen.gamma(2.0, 1.0 / 1.5, size=n)
         ref = (mu[:, None] + np.linalg.solve(lam.chol.T, gen.standard_normal((k, n)))

@@ -60,28 +60,37 @@ class TestBuildPolyDesign:
 
 class TestSimulatePolynomial:
     def test_deterministic(self):
-        cfg = PolySweepConfig(master_seed=42, n_simulations=1)
-        a = simulate_polynomial(cfg, 3)
-        b = simulate_polynomial(cfg, 3)
-        np.testing.assert_array_equal(a.y, b.y)
+        cfg = PolySweepConfig(master_seed=42, n_simulations=4)
+        a = simulate_polynomial(cfg)
+        b = simulate_polynomial(cfg)
+        np.testing.assert_array_equal(a, b)
 
     def test_replications_differ(self):
-        cfg = PolySweepConfig(master_seed=42)
-        assert not np.array_equal(simulate_polynomial(cfg, 0).y, simulate_polynomial(cfg, 1).y)
+        y = simulate_polynomial(PolySweepConfig(master_seed=42, n_simulations=2))
+        assert not np.array_equal(y[:, 0], y[:, 1])
 
     def test_noiseless_limit_is_exact_polynomial(self):
-        cfg = PolySweepConfig(master_seed=7, noise_variance=0.0, n_points=50)
-        data = simulate_polynomial(cfg, 0)
+        cfg = PolySweepConfig(master_seed=7, noise_variance=0.0, n_points=50, n_simulations=1)
+        X = build_poly_design(equally_spaced(50), cfg.p_true)
+        y = simulate_polynomial(cfg)[:, 0]
         # Refit residual of the exact design must vanish.
-        beta, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
-        np.testing.assert_allclose(data.X @ beta, data.y, atol=1e-10)
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        np.testing.assert_allclose(X @ beta, y, atol=1e-10)
 
     def test_noise_variance_moment(self):
-        cfg = PolySweepConfig(master_seed=5, n_points=10_000, noise_variance=2.0)
-        data = simulate_polynomial(cfg, 0)
-        beta, *_ = np.linalg.lstsq(data.X, data.y, rcond=None)
-        resid = data.y - data.X @ beta
+        cfg = PolySweepConfig(master_seed=5, n_points=10_000, noise_variance=2.0,
+                              n_simulations=1)
+        X = build_poly_design(equally_spaced(10_000), cfg.p_true)
+        y = simulate_polynomial(cfg)[:, 0]
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        resid = y - X @ beta
         assert np.var(resid) == pytest.approx(2.0, rel=0.05)
+
+    def test_columns_do_not_depend_on_n_simulations(self):
+        y2 = simulate_polynomial(PolySweepConfig(master_seed=11, n_simulations=2))
+        y4 = simulate_polynomial(PolySweepConfig(master_seed=11, n_simulations=4))
+        assert y2.shape == (100, 2) and y4.shape == (100, 4)
+        np.testing.assert_array_equal(y2, y4[:, :2])
 
 
 @pytest.fixture(scope="module")

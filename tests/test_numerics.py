@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from ngbayes.numerics import (
     FactorizationError,
     SpdMatrix,
-    cholesky,
     digamma,
     log_gamma,
     logdet_spd,
-    spd_inverse,
     spd_solve,
 )
 
@@ -88,14 +86,14 @@ class TestSpdMatrix:
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_allclose(cholesky(SpdMatrix.identity(3)), np.eye(3))
+        np.testing.assert_allclose(SpdMatrix.identity(3).chol, np.eye(3))
 
     def test_scalar(self):
-        np.testing.assert_allclose(cholesky(SpdMatrix([[4.0]])), [[2.0]])
+        np.testing.assert_allclose(SpdMatrix([[4.0]]).chol, [[2.0]])
 
     def test_reconstruction(self, rng):
         a = random_spd(rng, 5)
-        lower = cholesky(a)
+        lower = a.chol
         np.testing.assert_allclose(lower @ lower.T, a.entries, rtol=1e-10, atol=1e-12)
         assert np.allclose(np.triu(lower, 1), 0.0)
 
@@ -105,7 +103,7 @@ class TestLogdet:
         assert logdet_spd(SpdMatrix.identity(4)) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal(self):
-        assert logdet_spd(SpdMatrix.diagonal([2.0, 3.0])) == pytest.approx(math.log(6.0))
+        assert logdet_spd(SpdMatrix(np.diag([2.0, 3.0]))) == pytest.approx(math.log(6.0))
 
     def test_against_cofactor_expansion(self, rng):
         a = random_spd(rng, 4)
@@ -123,7 +121,7 @@ class TestLogdet:
 
     def test_inverse_logdet_is_negated(self, rng):
         a = random_spd(rng, 6)
-        inv = SpdMatrix(0.5 * (spd_inverse(a) + spd_inverse(a).T))
+        inv = SpdMatrix(0.5 * (spd_solve(a, np.eye(6)) + spd_solve(a, np.eye(6)).T))
         assert logdet_spd(a) + logdet_spd(inv) == pytest.approx(0.0, abs=1e-8)
 
 
