@@ -126,7 +126,7 @@ def _cmd_kl(args) -> int:
         )
         if not ok:
             status = EXIT_CHECK_FAILED
-    print(json.dumps(report))
+    print(json.dumps(report, allow_nan=False))
     return status
 
 
@@ -155,7 +155,7 @@ def _cmd_fit(args) -> int:
         "complexity": fit.quality.complexity,
         "lme": fit.quality.lme,
         "noise_precision": "identity (default)" if default_p else "from file",
-    }))
+    }, allow_nan=False))
     return EXIT_OK
 
 
@@ -176,7 +176,8 @@ def _cmd_study(args) -> int:
         config = dataclasses.replace(config, master_seed=args.seed)
     result = args.run(config)
     args.write(result, args.out)
-    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out)}))
+    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out)},
+                     allow_nan=False))
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ Densities and samplers are whitened by the precision's Cholesky factor L
 (precision = L L^T): a quadratic form d^T precision d is ||L^T d||^2, and a
 draw is mu + L^-T z / sqrt(y) with L^-T formed once per call as a k x k
 matrix, so a batch costs one small matmul rather than a solve per sample.
-One normal draw serves both normal samplers (y = 1 for the normal), and
-the normal-gamma draws its y through the gamma sampler.
+One normal draw serves both normal samplers (no y for the normal), and
+the normal-gamma draws its y through the gamma sampler. Both normal
+kernels work in cache-sized blocks of rows, and the draw overwrites z.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
+
+_BLOCK = 1 << 14  # rows per block of the normal kernels: a block's temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,11 @@ def _normal_logpdf(x, mean, lam: SpdMatrix, y=1.0):
     k = lam.dim
     if x.ndim not in (1, 2) or x.shape[-1] != k:
         raise ValueError(f"x has shape {x.shape}, expected (..., {k})")
-    quad = _quad_form(lam.chol, x - mean)
+    rows = x.reshape(-1, k)
+    quad = np.empty(len(rows))
+    for i in range(0, len(rows), _BLOCK):
+        quad[i:i + _BLOCK] = _quad_form(lam.chol, rows[i:i + _BLOCK] - mean)
+    quad = quad.reshape(x.shape[:-1])
     return 0.5 * (k * np.log(y) + logdet_spd(lam)) - 0.5 * k * _LN_2PI - 0.5 * y * quad
 
 
@@ -204,14 +211,21 @@ def sample_gamma(params: GammaParams, rng: RngStream, size):
 
 
 def _normal_draw(mean, lam: SpdMatrix, z, y):
-    """Rows of mean + L^-T z / sqrt(y) for z of shape (k, n), with lam = L L^T."""
-    return (mean[:, None] + (np.linalg.solve(lam.chol.T, np.eye(lam.dim)) @ z) / np.sqrt(y)).T
+    """Rows of mean + L^-T z / sqrt(y) (y None: 1) for z (k, n), lam = L L^T; overwrites z."""
+    inv_t = np.linalg.solve(lam.chol.T, np.eye(lam.dim))
+    for i in range(0, z.shape[1], _BLOCK):
+        block = z[:, i:i + _BLOCK]
+        block[...] = inv_t @ block
+        if y is not None:
+            block /= np.sqrt(y[i:i + _BLOCK])
+        block += mean[:, None]
+    return z.T
 
 
 def sample_mvn(params: MvNormalParams, rng: RngStream, size):
     """Draw from N(mu, precision^-1) as mu + L^-T z with z ~ N(0, I), precision = L L^T."""
     z = rng.generator.standard_normal((params.dim, size))
-    return _normal_draw(params.mean, params.precision, z, 1.0)
+    return _normal_draw(params.mean, params.precision, z, None)
 
 
 def sample_ng(params: NormalGammaParams, rng: RngStream, size):

@@ -11,6 +11,7 @@ Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,23 @@ def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
     )
 
 
+def _score(logpdf_p, logpdf_q, samples, start, out):
+    """Append to ``out`` the mean and sum of squared deviations of log p - log q, or the error."""
+    try:
+        diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
+        if not np.all(np.isfinite(diff)):
+            bad = int(np.flatnonzero(~np.isfinite(diff))[0])
+            raise ArithmeticError(f"non-finite log-density at sample {start + bad}")
+        with np.errstate(over="ignore"):  # errstate is per thread: set it on this one
+            batch_mean = float(np.mean(diff))
+            sq_dev = float(np.sum((diff - batch_mean) ** 2))
+        if not (math.isfinite(batch_mean) and math.isfinite(sq_dev)):
+            raise ArithmeticError(f"overflow in the Monte Carlo moments from sample {start}")
+        out.append((batch_mean, sq_dev))
+    except BaseException as exc:
+        out.append(exc)
+
+
 def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int, rng: RngStream) -> KlEstimate:
     """Direct Monte Carlo estimate of KL[P || Q].
 
@@ -137,27 +155,33 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int, rng: RngStream
     and sums of squared deviations are merged by Chan, Golub & LeVeque
     (1979), not as sum(d^2)/n - mean^2, which cancels to 0 when the mean is
     large against the spread; a standard error of 0 means a constant log-ratio.
+    The sampler runs on the calling thread in batch order, so ``rng`` is used
+    as by a serial loop; the log-densities of a batch run on one worker thread
+    while the next batch is drawn, so a log-density must not touch ``rng``.
     """
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError("kl_monte_carlo requires n_samples >= 100")
-    mean = 0.0
-    m2 = 0.0
-    done = 0
-    while done < n_samples:
+    mean = m2 = 0.0
+    samples = sampler_p(rng, min(MC_BATCH_SIZE, n_samples))
+    for done in range(0, n_samples, MC_BATCH_SIZE):
         m = min(MC_BATCH_SIZE, n_samples - done)
-        samples = sampler_p(rng, m)
-        diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
-        if not np.all(np.isfinite(diff)):
-            bad = int(np.flatnonzero(~np.isfinite(diff))[0])
-            raise ArithmeticError(
-                f"non-finite log-density at sample {done + bad}"
-            )
-        batch_mean = float(np.mean(diff))
+        scored = []
+        worker = threading.Thread(target=_score, args=(logpdf_p, logpdf_q, samples, done, scored))
+        worker.start()
+        try:
+            if done + m < n_samples:
+                samples = sampler_p(rng, min(MC_BATCH_SIZE, n_samples - done - m))
+        finally:
+            worker.join()
+            if isinstance(scored[0], BaseException):
+                raise scored[0]  # batch i's error outranks one from drawing batch i + 1
+        batch_mean, sq_dev = scored[0]
         delta = batch_mean - mean
-        m2 += float(np.sum((diff - batch_mean) ** 2)) + delta * delta * done * m / (done + m)
+        m2 += sq_dev + delta * delta * done * m / (done + m)
         mean += delta * m / (done + m)
-        done += m
+    if not math.isfinite(m2):  # an overflowing delta makes m2 inf or NaN too
+        raise ArithmeticError("Monte Carlo moments overflowed when merging batches")
     se = math.sqrt(m2 / n_samples / n_samples)
     return KlEstimate(value=mean, standard_error=se, sample_count=n_samples)
 

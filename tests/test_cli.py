@@ -105,6 +105,18 @@ class TestKlCommand:
         assert status == 1 and out == ""
         assert err == f"numerical error: gamma sampler underflowed to 0 at shape {shape}\n"
 
+    @pytest.mark.parametrize("family, p, q", [
+        ("mvn", "mu=[0],Lambda=[[1]]", "mu=[0],Lambda=[[1e300]]"),
+        ("gamma", "a=1,b=1", "a=1e-300,b=1e300"),
+    ])
+    def test_monte_carlo_variance_overflow_is_named_error(self, capsys, family, p, q):
+        # An overflow warning would fail this test (error::RuntimeWarning), and a
+        # NaN standard error would print invalid JSON with a spurious FAIL.
+        status, out, err = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                                   "--check", "--mc-samples", "1000")
+        assert status == 1 and out == ""
+        assert err.startswith("numerical error: ") and "overflow" in err
+
 
 class TestFitCommand:
     def write_hand_files(self, tmp_path, with_p=True):

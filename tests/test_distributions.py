@@ -20,7 +20,7 @@ from ngbayes import (
     sample_ng,
 )
 
-from ngbayes.distributions import _quad_form
+from ngbayes.distributions import _BLOCK, _quad_form
 
 from conftest import random_ng, random_spd
 
@@ -240,3 +240,47 @@ class TestWhitenedKernels:
                / np.sqrt(y_ref)).T
         np.testing.assert_array_equal(np.reshape(y, n), y_ref)
         assert_close_per_coordinate(np.reshape(x, (n, k)), ref, sd / np.sqrt(y_ref)[:, None])
+
+
+@pytest.mark.parametrize("m", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("k, log10_cond", [(1, 0.0), (5, 4.0), (21, 8.0)])
+class TestKernelBlockBoundaries:
+    """The blocked kernels at batch sizes around a block boundary."""
+
+    def test_logpdfs_match_dense_quadratic_form(self, k, log10_cond, m):
+        rng = np.random.default_rng(1000 * k + m)
+        lam = scaled_precision(rng, k, log10_cond)
+        mu = rng.uniform(-1.0, 1.0, k)
+        x = mu + rng.standard_normal((m, k)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+        y = rng.gamma(2.0, 1.0, m)
+        dense = np.einsum("ni,ij,nj->n", x - mu, lam.entries, x - mu)
+        const = 0.5 * (np.linalg.slogdet(lam.entries)[1] - k * LN_2PI)
+        # A sum is judged on the magnitude of its terms.
+        ref = const - 0.5 * dense
+        got = logpdf_mvn(x, MvNormalParams(mean=mu, precision=lam))
+        assert_close_per_coordinate(got, ref, abs(const) + 0.5 * dense)
+
+        params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
+        gamma_part = logpdf_gamma(y, params.gamma)
+        ref = const + 0.5 * k * np.log(y) - 0.5 * y * dense + gamma_part
+        scale = abs(const) + 0.5 * k * np.abs(np.log(y)) + 0.5 * y * dense + np.abs(gamma_part)
+        assert_close_per_coordinate(logpdf_ng(x, y, params), ref, scale)
+
+    def test_samplers_match_triangular_solve(self, k, log10_cond, m):
+        rng = np.random.default_rng(1000 * k + m)
+        lam = scaled_precision(rng, k, log10_cond)
+        mu = rng.uniform(-1.0, 1.0, k)
+        sd = np.sqrt(np.diag(np.linalg.inv(lam.entries)))
+
+        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(m), size=m)
+        z = RngStream(m).generator.standard_normal((k, m))
+        assert_close_per_coordinate(x, (mu[:, None] + np.linalg.solve(lam.chol.T, z)).T, sd)
+
+        params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
+        x, y = sample_ng(params, RngStream(m), size=m)
+        gen = RngStream(m).generator
+        y_ref = gen.gamma(2.0, 1.0 / 1.5, size=m)
+        ref = (mu[:, None] + np.linalg.solve(lam.chol.T, gen.standard_normal((k, m)))
+               / np.sqrt(y_ref)).T
+        np.testing.assert_array_equal(y, y_ref)
+        assert_close_per_coordinate(x, ref, sd / np.sqrt(y_ref)[:, None])

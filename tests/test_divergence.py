@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from ngbayes import (
     kl_normal_gamma,
     logpdf_gamma,
     logpdf_mvn,
+    logpdf_ng,
     sample_gamma,
     sample_mvn,
+    sample_ng,
 )
-from ngbayes.divergence import KlEstimate, NegativeDivergenceError, kl_monte_carlo_pair
+from ngbayes.divergence import (
+    MC_BATCH_SIZE, KlEstimate, NegativeDivergenceError, kl_monte_carlo_pair,
+)
 
 from conftest import random_gamma, random_mvn, random_ng
 
@@ -185,6 +190,92 @@ class TestMonteCarloEstimator:
             KlEstimate(value=0.0, standard_error=-1.0, sample_count=10)
         with pytest.raises(ValueError):
             KlEstimate(value=0.0, standard_error=0.0, sample_count=0)
+
+
+def serial_kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples, rng):
+    """The one-thread loop: draw, score and merge each batch in turn."""
+    mean = m2 = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(MC_BATCH_SIZE, n_samples - done)
+        samples = sampler_p(rng, m)
+        diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
+        batch_mean = float(np.mean(diff))
+        delta = batch_mean - mean
+        m2 += float(np.sum((diff - batch_mean) ** 2)) + delta * delta * done * m / (done + m)
+        mean += delta * m / (done + m)
+        done += m
+    return KlEstimate(value=mean, standard_error=math.sqrt(m2 / n_samples / n_samples),
+                      sample_count=n_samples)
+
+
+def index_sampler(fail_on_call=None):
+    """Sampler whose samples are their global indices; raises on call ``fail_on_call``."""
+    drawn = []
+
+    def sampler(rng, m):
+        if len(drawn) == fail_on_call:
+            raise RuntimeError(f"sampler failed on call {fail_on_call}")
+        start = sum(drawn)
+        drawn.append(m)
+        return np.arange(start, start + m, dtype=float)
+
+    return sampler
+
+
+def nan_at(index):
+    return lambda s: np.where(s == index, np.nan, 0.0)
+
+
+class TestMonteCarloPipeline:
+    """Draws overlap the scoring of the previous batch; results are those of a serial loop."""
+
+    N = 2 * MC_BATCH_SIZE + 1000
+
+    def test_nan_in_second_batch_names_global_index(self):
+        j = 7
+        with pytest.raises(ArithmeticError, match=rf"at sample {MC_BATCH_SIZE + j}$"):
+            kl_monte_carlo(nan_at(MC_BATCH_SIZE + j), lambda s: np.zeros(len(s)),
+                           index_sampler(), self.N, RngStream(0))
+
+    def test_scoring_error_outranks_next_draw_error(self):
+        # Batch 0 fails to score while batch 1 is drawn, and that draw fails too.
+        with pytest.raises(ArithmeticError, match=r"at sample 5$"):
+            kl_monte_carlo(nan_at(5), lambda s: np.zeros(len(s)),
+                           index_sampler(fail_on_call=1), self.N, RngStream(0))
+
+    def test_sampler_error_is_raised_when_scoring_succeeds(self):
+        with pytest.raises(RuntimeError, match="call 2"):
+            kl_monte_carlo(lambda s: s, lambda s: np.zeros(len(s)),
+                           index_sampler(fail_on_call=2), self.N, RngStream(0))
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        est = kl_monte_carlo(lambda s: s, lambda s: np.zeros(len(s)), index_sampler(),
+                             self.N, RngStream(0))
+        assert est.value == pytest.approx((self.N - 1) / 2.0)
+        assert threading.active_count() == before
+        for logpdf_p, sampler in ((nan_at(MC_BATCH_SIZE + 3), index_sampler()),
+                                  (nan_at(3), index_sampler(fail_on_call=1)),
+                                  (lambda s: s, index_sampler(fail_on_call=2))):
+            with pytest.raises((ArithmeticError, RuntimeError)):
+                kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)), sampler, self.N,
+                               RngStream(0))
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("family", ["mvn", "ng"])
+    def test_pair_equals_serial_loop(self, family):
+        rng = np.random.default_rng(41)
+        if family == "mvn":
+            p, q = random_mvn(rng, 5), random_mvn(rng, 5)
+            sample, logpdf = sample_mvn, logpdf_mvn
+        else:
+            p, q = random_ng(rng, 5), random_ng(rng, 5)
+            sample, logpdf = sample_ng, lambda s, params: logpdf_ng(s[0], s[1], params)
+        serial = serial_kl_monte_carlo(lambda s: logpdf(s, p), lambda s: logpdf(s, q),
+                                       lambda r, m: sample(p, r, size=m), self.N,
+                                       RngStream(42))
+        assert kl_monte_carlo_pair(p, q, self.N, RngStream(42)) == serial
 
 
 class TestNonNegativity:
