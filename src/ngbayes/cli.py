@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .distributions import GammaParams, MvNormalParams, NormalGammaParams, RngStream
+from .distributions import GammaParams, MvNormalParams, NormalGammaParams
 from .divergence import kl_gamma, kl_monte_carlo_pair, kl_mvn, kl_normal_gamma
 from .experiments import (
     CvStudyConfig,
@@ -115,7 +115,10 @@ def _cmd_kl(args) -> int:
     report = {"family": args.family, "kl": closed}
     status = EXIT_OK
     if args.check:
-        est = kl_monte_carlo_pair(p, q, args.mc_samples, RngStream(args.seed))
+        if args.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
+        est = kl_monte_carlo_pair(p, q, args.mc_samples, rng)
         ok = abs(closed - est.value) <= 3.0 * est.standard_error or est.standard_error == 0.0
         report.update(
             mc_value=est.value,

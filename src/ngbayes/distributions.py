@@ -14,11 +14,11 @@ matrix, so a batch costs one small matmul rather than a solve per sample.
 One normal draw serves both normal samplers (no y for the normal), and
 the normal-gamma draws its y through the gamma sampler. Both normal
 kernels work in cache-sized blocks of rows, and the draw overwrites z.
+Samplers draw from the numpy Generator they are given; seeding is the caller's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +27,7 @@ import numpy as np
 from .numerics import SpdMatrix, log_gamma, logdet_spd
 
 __all__ = [
-    "GammaParams", "MvNormalParams", "NormalGammaParams", "RngStream", "logpdf_mvn",
+    "GammaParams", "MvNormalParams", "NormalGammaParams", "logpdf_mvn",
     "logpdf_gamma", "logpdf_ng", "sample_gamma", "sample_mvn", "sample_ng",
 ]
 
@@ -118,33 +118,6 @@ class NormalGammaParams:
         return GammaParams(self.shape, self.rate)
 
 
-class RngStream:
-    """Reproducible random stream keyed by (seed, stream identifier).
-
-    Identical (seed, stream) always yields the identical sample sequence.
-    Child streams derived via :meth:`child` are statistically independent
-    and deterministic, which keeps parallel sweeps reproducible.
-    """
-
-    def __init__(self, seed: int, stream: int = 0, _path: tuple = ()):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self._path = tuple(_path)
-
-    @functools.cached_property
-    def generator(self) -> np.random.Generator:
-        """Built on first use, so a parent that only spawns children never builds one."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,) + self._path)
-        return np.random.default_rng(ss)
-
-    def child(self, index: int) -> "RngStream":
-        """Derived stream; independent of draws already taken from self."""
-        return RngStream(self.seed, self.stream, self._path + (int(index),))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream={self.stream}, path={self._path})"
-
-
 def _quad_form(chol: np.ndarray, d: np.ndarray):
     """d^T (L L^T) d as ||L^T d||^2 for d of shape (k,) or (m, k).
 
@@ -202,9 +175,9 @@ def logpdf_ng(x, y, params: NormalGammaParams):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_gamma(params: GammaParams, rng: RngStream, size):
+def sample_gamma(params: GammaParams, rng: np.random.Generator, size):
     """Draw from Gam(shape, rate) (numpy, Marsaglia-Tsang); a draw that underflows to 0 raises."""
-    y = rng.generator.gamma(params.shape, 1.0 / params.rate, size=size)
+    y = rng.gamma(params.shape, 1.0 / params.rate, size=size)
     if np.any(y == 0.0):
         raise ArithmeticError(f"gamma sampler underflowed to 0 at shape {params.shape}")
     return y
@@ -222,14 +195,14 @@ def _normal_draw(mean, lam: SpdMatrix, z, y):
     return z.T
 
 
-def sample_mvn(params: MvNormalParams, rng: RngStream, size):
+def sample_mvn(params: MvNormalParams, rng: np.random.Generator, size):
     """Draw from N(mu, precision^-1) as mu + L^-T z with z ~ N(0, I), precision = L L^T."""
-    z = rng.generator.standard_normal((params.dim, size))
+    z = rng.standard_normal((params.dim, size))
     return _normal_draw(params.mean, params.precision, z, None)
 
 
-def sample_ng(params: NormalGammaParams, rng: RngStream, size):
+def sample_ng(params: NormalGammaParams, rng: np.random.Generator, size):
     """Draw (x, y) from the normal-gamma: y ~ Gam(a, b), x | y ~ N(mu, (y lam)^-1)."""
     y = sample_gamma(params.gamma, rng, size)
-    z = rng.generator.standard_normal((params.dim, size))
+    z = rng.standard_normal((params.dim, size))
     return _normal_draw(params.mu, params.lam, z, y), y

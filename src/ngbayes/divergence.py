@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    GammaParams, MvNormalParams, NormalGammaParams, RngStream, logpdf_gamma, logpdf_mvn,
+    GammaParams, MvNormalParams, NormalGammaParams, _quad_form, logpdf_gamma, logpdf_mvn,
     logpdf_ng, sample_gamma, sample_mvn, sample_ng,
 )
-from .numerics import digamma, log_gamma, logdet_spd, spd_solve
+from .numerics import digamma, log_gamma, logdet_spd
 
 __all__ = [
     "KlEstimate", "NegativeDivergenceError", "kl_mvn", "kl_gamma", "kl_normal_gamma",
@@ -68,15 +68,16 @@ def _normal_kl(mu_p, lam_p, mu_q, lam_q, weight):
     """KL[N(mu_p, (y lam_p)^-1) || N(mu_q, (y lam_q)^-1)] averaged over y, E[y] = weight.
 
     Only the mean term scales with y. Means (k, R) give one value per column;
-    an overflow gives a non-finite value, which ``_clamp`` rejects.
+    an overflow gives a non-finite value, which ``_clamp`` rejects. The trace
+    tr(lam_p^-1 lam_q) is ||L_p^-1 L_q||_F^2 from the cached factors.
     """
     k = lam_p.dim
     if lam_q.dim != k:
         raise ValueError(f"dimension mismatch: {k} vs {lam_q.dim}")
     batch = np.broadcast_shapes(mu_p.shape[1:], mu_q.shape[1:])
     d = mu_q.reshape(k, -1) - mu_p.reshape(k, -1)  # one column per batch member
-    quad = np.sum(d * (lam_q.entries @ d), axis=0).reshape(batch)
-    trace = float(np.trace(spd_solve(lam_p, lam_q.entries)))
+    quad = _quad_form(lam_q.chol, d.T).reshape(batch)
+    trace = float(np.sum(np.linalg.solve(lam_p.chol, lam_q.chol) ** 2))
     logdet_term = logdet_spd(lam_q) - logdet_spd(lam_p)
     return 0.5 * weight * quad + 0.5 * trace - 0.5 * logdet_term - 0.5 * k
 
@@ -146,10 +147,12 @@ def _score(logpdf_p, logpdf_q, samples, start, out):
         out.append(exc)
 
 
-def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int, rng: RngStream) -> KlEstimate:
+def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
+                   rng: np.random.Generator) -> KlEstimate:
     """Direct Monte Carlo estimate of KL[P || Q].
 
-    ``sampler_p(rng, size)`` must return a batch of samples from P;
+    ``rng`` is a numpy Generator, seeded by the caller, and
+    ``sampler_p(rng, size)`` must draw a batch of samples from P with it;
     ``logpdf_p`` / ``logpdf_q`` must accept such a batch. The estimate is
     the sample mean of log p - log q with its standard error. Batch means
     and sums of squared deviations are merged by Chan, Golub & LeVeque
@@ -186,7 +189,7 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int, rng: RngStream
     return KlEstimate(value=mean, standard_error=se, sample_count=n_samples)
 
 
-def kl_monte_carlo_pair(p, q, n_samples: int, rng: RngStream) -> KlEstimate:
+def kl_monte_carlo_pair(p, q, n_samples: int, rng: np.random.Generator) -> KlEstimate:
     """Monte Carlo KL[P || Q] for two parameter records of the family of ``p``.
 
     The sampler and log-density are looked up by module name at each call,

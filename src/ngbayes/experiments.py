@@ -5,12 +5,12 @@ evidence recovers the generating order, and a multi-session study in
 which cross-validated evidence distinguishes a flexible per-condition
 design from a constrained parametric-modulator design generated from the
 same conditions. One simulator generates the data of both: per
-replication r, coefficients from child 0 of stream (seed, r), each
-session's noise in turn from child 1, and y = X_gen beta + sigma z. In
-both, every replication shares the candidate design, so the replications
-are the columns of one response matrix: the sweep makes one evidence
-call per order and the study one cross-validation per design, each
-fitting all replications at once.
+replication r, coefficients from numpy's SeedSequence(seed, spawn_key=(r, 0)),
+each session's noise in turn from spawn_key=(r, 1), and y = X_gen beta +
+sigma z. In both, every replication shares the candidate design, so the
+replications are the columns of one response matrix: the sweep makes one
+evidence call per order and the study one cross-validation per design,
+each fitting all replications at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .distributions import NormalGammaParams, RngStream
+from .distributions import NormalGammaParams
 from .glm import GlmDataset, cv_model_quality, log_model_evidence
 from .numerics import SpdMatrix
 
@@ -71,6 +71,8 @@ class PolySweepConfig:
             raise ValueError("require p_min <= p_true <= p_max with p_min >= 0")
         if self.noise_variance < 0.0:
             raise ValueError("noise variance must be nonnegative")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,8 @@ class CvStudyConfig:
             raise ValueError(f"generator must be 'A' or 'B', got {self.generator!r}")
         if self.noise_variance <= 0.0:
             raise ValueError("noise variance must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -168,16 +172,16 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
               n_sessions: int) -> np.ndarray:
     """Responses X_gen beta + white noise, shape (n_sessions, n, n_replications).
 
-    Per replication r, beta (shared by the sessions) comes from child 0 of
-    (master_seed, r) and each session's noise in turn from child 1, so a
-    column does not depend on n_replications.
+    Per replication r, beta (shared by the sessions) comes from
+    SeedSequence(master_seed, spawn_key=(r, 0)) and each session's noise in
+    turn from spawn_key=(r, 1), so a column does not depend on n_replications.
     """
     n, k = X_gen.shape
     y = np.empty((n_sessions, n, n_replications))
     for rep in range(n_replications):
-        base = RngStream(master_seed, rep)
-        beta = base.child(0).generator.standard_normal(k)
-        noise_rng = base.child(1).generator
+        beta_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(
+            master_seed, spawn_key=(rep, i))) for i in (0, 1))
+        beta = beta_rng.standard_normal(k)
         for session in range(n_sessions):
             z = noise_rng.standard_normal(n)
             y[session, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
@@ -209,11 +213,13 @@ def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
     y = simulate_polynomial(config)
     means = np.zeros((3, len(orders)))
     for idx, order in enumerate(orders):
-        data = GlmDataset(y=y, X=build_poly_design(x, int(order)))
         try:
+            data = GlmDataset(y=y, X=build_poly_design(x, int(order)))
             q = log_model_evidence(data, _standard_prior(int(order) + 1)).quality
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at order {order}: {exc}") from exc
+        except ValueError as exc:  # not type(exc): a FactorizationError takes a pivot index
+            raise ValueError(f"fit failed at order {order}: {exc}") from exc
         means[:, idx] = np.mean(q.lme), np.mean(q.accuracy), np.mean(q.complexity)
     return SweepResult(orders=orders, mean_lme=means[0],
                        mean_acc=means[1], mean_com=means[2])

@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .distributions import NormalGammaParams
+from .distributions import NormalGammaParams, _quad_form
 from .divergence import kl_normal_gamma
 from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd, spd_solve
 
@@ -29,7 +29,6 @@ __all__ = [
     "EvidenceConsistencyError", "REFERENCE_PRIOR_PRECISION", "REFERENCE_PRIOR_SHAPE",
     "REFERENCE_PRIOR_RATE", "fit_posterior", "complexity", "accuracy",
     "log_model_evidence", "reference_prior", "cv_model_quality",
-    "cv_log_model_evidence",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -149,7 +148,7 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
     # exact arithmetic, but a sum of nonnegative terms with no cancellation.
     rss = sum(np.sum((s.y.reshape(s.n, -1) - s.X @ mu_n) ** 2, axis=0) for s in parts)
     d = mu_n - mu_0
-    b_n = prior.rate + 0.5 * (rss + np.sum(d * (lam_0 @ d), axis=0))
+    b_n = prior.rate + 0.5 * (rss + _quad_form(prior.lam.chol, d.T))
     ok = np.all(np.isfinite(mu_n), axis=0) & np.isfinite(b_n) & (b_n > 0.0)
     if not np.all(ok):
         j = np.argmin(ok)
@@ -264,8 +263,3 @@ def cv_model_quality(sessions) -> ModelQuality:
         acc += fit.quality.accuracy
         com += fit.quality.complexity
     return ModelQuality(lme=lme, accuracy=acc, complexity=com)
-
-
-def cv_log_model_evidence(sessions) -> float:
-    """Leave-one-session-out cross-validated log model evidence, summed over sessions."""
-    return cv_model_quality(sessions).lme

@@ -4,6 +4,11 @@ import pytest
 from ngbayes import GammaParams, MvNormalParams, NormalGammaParams, SpdMatrix
 
 
+def stream(seed, key=0):
+    """Generator on numpy's SeedSequence(seed, spawn_key=(key,)), as ``kl --check`` seeds."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
 def random_spd(rng, k, scale=1.0):
     """Well-conditioned random SPD matrix."""
     m = rng.standard_normal((k, k))

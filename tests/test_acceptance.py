@@ -15,7 +15,6 @@ from ngbayes import (
     GlmDataset,
     MvNormalParams,
     NormalGammaParams,
-    RngStream,
     SpdMatrix,
     expected_conditional_mvn_kl,
     fit_posterior,
@@ -30,7 +29,7 @@ from ngbayes.divergence import kl_monte_carlo_pair
 from ngbayes.experiments import CvStudyConfig, PolySweepConfig, run_cv_study, run_poly_sweep
 from ngbayes.glm import _direct_lme
 
-from conftest import random_gamma, random_mvn, random_ng
+from conftest import random_gamma, random_mvn, random_ng, stream
 
 MC_SAMPLES = 1_000_000
 
@@ -56,7 +55,7 @@ def test_criterion_1_monte_carlo_oracle_equivalence():
         ]
         for closed_fn, mc_fn, p, q in cases:
             closed = closed_fn(p, q)
-            est = mc_fn(p, q, MC_SAMPLES, RngStream(1000 + i))
+            est = mc_fn(p, q, MC_SAMPLES, stream(1000 + i))
             if abs(closed - est.value) >= 3.0 * est.standard_error:
                 failures.append((closed_fn.__name__, i, closed, est.value, est.standard_error))
     report(1, not failures, f"{60 - len(failures)}/60 pairs within 3 SE")
@@ -157,7 +156,7 @@ def test_criterion_6_hand_case_exactness():
         and abs(post.rate - 2.0) < 1e-14
     )
     closed = kl_normal_gamma(post, prior)
-    est = kl_monte_carlo_pair(post, prior, MC_SAMPLES, RngStream(106))
+    est = kl_monte_carlo_pair(post, prior, MC_SAMPLES, stream(106))
     mc_ok = abs(closed - est.value) < 3.0 * est.standard_error
     report(6, exact and mc_ok,
            f"posterior ({post.mu[0]}, {post.lam.entries[0,0]}, {post.shape}, {post.rate}), "

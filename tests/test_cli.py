@@ -117,6 +117,24 @@ class TestKlCommand:
         assert status == 1 and out == ""
         assert err.startswith("numerical error: ") and "overflow" in err
 
+    @pytest.mark.parametrize("family, p, q, mc_value, mc_standard_error", [
+        ("gamma", "a=1.5,b=2", "a=2,b=1", 0.7732044100962542, 0.03347329744743471),
+        ("mvn", '{"mu": [0.5, -0.2, 0.1], "Lambda": [[2, 0.3, 0], [0.3, 1, 0.1], [0, 0.1, 1.5]]}',
+         '{"mu": [0, 0, 0], "Lambda": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+         0.2870428150617321, 0.02075223550086654),
+        ("ng", '{"mu": [0.5, -0.2], "Lambda": [[2, 0.3], [0.3, 1]], "a": 2, "b": 1}',
+         '{"mu": [0, 0], "Lambda": [[1, 0], [0, 1]], "a": 1, "b": 1}',
+         0.7894173879509055, 0.04009807277566987),
+    ], ids=["gamma", "mvn", "ng"])
+    def test_check_stream_is_pinned(self, capsys, family, p, q, mc_value, mc_standard_error):
+        # --seed s draws from SeedSequence(s, spawn_key=(0,)); the figures pin that stream.
+        status, out, _ = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                                 "--check", "--mc-samples", "1000", "--seed", "7")
+        assert status == 0
+        report = json.loads(out)
+        assert report["mc_value"] == pytest.approx(mc_value, rel=1e-12)
+        assert report["mc_standard_error"] == pytest.approx(mc_standard_error, rel=1e-12)
+
 
 class TestFitCommand:
     def write_hand_files(self, tmp_path, with_p=True):
@@ -251,6 +269,13 @@ class TestSweepCommand:
         assert status == 1
         assert "nope" in err
 
+    def test_rank_deficient_order_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_simulations": 2, "n_points": 30, "p_max": 40}))
+        status, out, err = run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert status == 1 and out == ""
+        assert err == "error: fit failed at order 30: design matrix is rank deficient\n"
+
 
 class TestCvStudyCommand:
     def test_runs_and_reports(self, capsys, tmp_path):
@@ -290,6 +315,20 @@ def test_mistyped_config_field_is_usage_error(capsys, tmp_path, command, doc, fi
     status, out, err = run_cli(capsys, command, str(cfg), "--out", str(tmp_path / "o.csv"))
     assert status == 1 and out == ""
     assert err.startswith("error: config field ") and field in err
+
+
+@pytest.mark.parametrize("doc, argv, name", [
+    ({"master_seed": -1}, ("cv-study", "{cfg}", "--out", "{out}"), "master_seed"),
+    ({}, ("sweep", "{cfg}", "--out", "{out}", "--seed", "-1"), "master_seed"),
+    ({}, ("kl", "gamma", "--p", "a=1,b=1", "--q", "a=2,b=1", "--check", "--seed", "-3"), "--seed"),
+], ids=["config", "study-flag", "kl-flag"])
+def test_negative_seed_is_named_usage_error(capsys, tmp_path, doc, argv, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [arg.format(cfg=cfg, out=tmp_path / "o.csv") for arg in argv]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: {name} must be nonnegative, got -")
 
 
 def test_float_config_field_takes_an_int(capsys, tmp_path):

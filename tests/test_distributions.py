@@ -10,7 +10,6 @@ from ngbayes import (
     GammaParams,
     MvNormalParams,
     NormalGammaParams,
-    RngStream,
     SpdMatrix,
     logpdf_gamma,
     logpdf_mvn,
@@ -22,7 +21,7 @@ from ngbayes import (
 
 from ngbayes.distributions import _BLOCK, _quad_form
 
-from conftest import random_ng, random_spd
+from conftest import random_ng, random_spd, stream
 
 LN_2PI = math.log(2.0 * math.pi)
 
@@ -115,68 +114,51 @@ class TestLogpdfNg:
 
 class TestSamplers:
     def test_gamma_moments(self):
-        draws = sample_gamma(GammaParams(1.0, 1.0), RngStream(1), size=1_000_000)
+        draws = sample_gamma(GammaParams(1.0, 1.0), stream(1), size=1_000_000)
         assert np.mean(draws) == pytest.approx(1.0, abs=0.005)
-        draws = sample_gamma(GammaParams(3.0, 2.0), RngStream(2), size=1_000_000)
+        draws = sample_gamma(GammaParams(3.0, 2.0), stream(2), size=1_000_000)
         assert np.mean(draws) == pytest.approx(1.5, abs=0.01)
 
     def test_gamma_determinism(self):
-        a = sample_gamma(GammaParams(2.0, 1.0), RngStream(7, 3), size=100)
-        b = sample_gamma(GammaParams(2.0, 1.0), RngStream(7, 3), size=100)
+        a = sample_gamma(GammaParams(2.0, 1.0), stream(7, 3), size=100)
+        b = sample_gamma(GammaParams(2.0, 1.0), stream(7, 3), size=100)
         np.testing.assert_array_equal(a, b)
 
     def test_mvn_mean(self):
         p = MvNormalParams(mean=[5.0], precision=SpdMatrix.identity(1))
-        draws = sample_mvn(p, RngStream(3), size=1_000_000)
+        draws = sample_mvn(p, stream(3), size=1_000_000)
         assert np.mean(draws) == pytest.approx(5.0, abs=0.005)
 
     def test_mvn_covariance(self):
         p = MvNormalParams(mean=[0.0, 0.0], precision=SpdMatrix.identity(2))
-        draws = sample_mvn(p, RngStream(4), size=1_000_000)
+        draws = sample_mvn(p, stream(4), size=1_000_000)
         np.testing.assert_allclose(np.cov(draws.T), np.eye(2), atol=0.01)
 
     def test_mvn_respects_precision(self):
         prec = SpdMatrix([[2.0, 0.6], [0.6, 1.0]])
         p = MvNormalParams(mean=[1.0, -2.0], precision=prec)
-        draws = sample_mvn(p, RngStream(5), size=500_000)
+        draws = sample_mvn(p, stream(5), size=500_000)
         np.testing.assert_allclose(np.cov(draws.T), np.linalg.inv(prec.entries), atol=0.02)
 
     def test_mvn_determinism(self):
         p = MvNormalParams(mean=[0.0], precision=SpdMatrix.identity(1))
         np.testing.assert_array_equal(
-            sample_mvn(p, RngStream(9), size=50), sample_mvn(p, RngStream(9), size=50)
+            sample_mvn(p, stream(9), size=50), sample_mvn(p, stream(9), size=50)
         )
 
     def test_ng_marginal_moments(self):
         p = NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(1), shape=2.0, rate=2.0)
-        xs, ys = sample_ng(p, RngStream(6), size=1_000_000)
+        xs, ys = sample_ng(p, stream(6), size=1_000_000)
         assert np.mean(ys) == pytest.approx(1.0, abs=0.01)
         # Marginal of x is a scaled Student-t with variance b / (lam * (a - 1)).
         assert np.var(xs[:, 0]) == pytest.approx(2.0, rel=0.05)
 
     def test_ng_determinism(self):
         p = NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(1), shape=1.5, rate=1.0)
-        x1, y1 = sample_ng(p, RngStream(8), size=40)
-        x2, y2 = sample_ng(p, RngStream(8), size=40)
+        x1, y1 = sample_ng(p, stream(8), size=40)
+        x2, y2 = sample_ng(p, stream(8), size=40)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
-
-
-class TestRngStream:
-    def test_distinct_streams_differ(self):
-        a = RngStream(1, 0).generator.random(8)
-        b = RngStream(1, 1).generator.random(8)
-        assert not np.array_equal(a, b)
-
-    def test_child_streams_are_reproducible(self):
-        a = RngStream(1, 2).child(5).generator.random(8)
-        b = RngStream(1, 2).child(5).generator.random(8)
-        np.testing.assert_array_equal(a, b)
-
-    def test_parent_that_only_spawns_builds_no_generator(self):
-        parent = RngStream(1, 2)
-        parent.child(0).generator.random(8)
-        assert "generator" not in vars(parent)
 
 
 def scaled_precision(rng, k, log10_cond):
@@ -227,14 +209,14 @@ class TestWhitenedKernels:
         n = 1 if m is None else m
         sd = np.sqrt(np.diag(np.linalg.inv(lam.entries)))
 
-        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(seed), size=n)
-        z = RngStream(seed).generator.standard_normal((k, n))
+        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), stream(seed), size=n)
+        z = stream(seed).standard_normal((k, n))
         ref = (mu[:, None] + np.linalg.solve(lam.chol.T, z)).T
         assert_close_per_coordinate(np.reshape(x, (n, k)), ref, sd)
 
         params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
-        x, y = sample_ng(params, RngStream(seed), size=n)
-        gen = RngStream(seed).generator
+        x, y = sample_ng(params, stream(seed), size=n)
+        gen = stream(seed)
         y_ref = gen.gamma(2.0, 1.0 / 1.5, size=n)
         ref = (mu[:, None] + np.linalg.solve(lam.chol.T, gen.standard_normal((k, n)))
                / np.sqrt(y_ref)).T
@@ -272,13 +254,13 @@ class TestKernelBlockBoundaries:
         mu = rng.uniform(-1.0, 1.0, k)
         sd = np.sqrt(np.diag(np.linalg.inv(lam.entries)))
 
-        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), RngStream(m), size=m)
-        z = RngStream(m).generator.standard_normal((k, m))
+        x = sample_mvn(MvNormalParams(mean=mu, precision=lam), stream(m), size=m)
+        z = stream(m).standard_normal((k, m))
         assert_close_per_coordinate(x, (mu[:, None] + np.linalg.solve(lam.chol.T, z)).T, sd)
 
         params = NormalGammaParams(mu=mu, lam=lam, shape=2.0, rate=1.5)
-        x, y = sample_ng(params, RngStream(m), size=m)
-        gen = RngStream(m).generator
+        x, y = sample_ng(params, stream(m), size=m)
+        gen = stream(m)
         y_ref = gen.gamma(2.0, 1.0 / 1.5, size=m)
         ref = (mu[:, None] + np.linalg.solve(lam.chol.T, gen.standard_normal((k, m)))
                / np.sqrt(y_ref)).T

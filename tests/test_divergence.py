@@ -8,7 +8,6 @@ from scipy import integrate
 from ngbayes import (
     GammaParams,
     MvNormalParams,
-    RngStream,
     SpdMatrix,
     expected_conditional_mvn_kl,
     kl_gamma,
@@ -26,7 +25,7 @@ from ngbayes.divergence import (
     MC_BATCH_SIZE, KlEstimate, NegativeDivergenceError, kl_monte_carlo_pair,
 )
 
-from conftest import random_gamma, random_mvn, random_ng
+from conftest import random_gamma, random_mvn, random_ng, stream
 
 EULER = 0.5772156649015329
 
@@ -61,7 +60,7 @@ class TestKlMvn:
 
     def test_matches_monte_carlo(self, rng):
         p, q = random_mvn(rng, 2), random_mvn(rng, 2)
-        est = kl_monte_carlo_pair(p, q, 200_000, RngStream(11))
+        est = kl_monte_carlo_pair(p, q, 200_000, stream(11))
         assert abs(kl_mvn(p, q) - est.value) < 3.0 * est.standard_error
 
     def test_dimension_mismatch(self, rng):
@@ -105,7 +104,7 @@ class TestKlNormalGamma:
 
     def test_matches_monte_carlo(self, rng):
         p, q = random_ng(rng, 2), random_ng(rng, 2)
-        est = kl_monte_carlo_pair(p, q, 1_000_000, RngStream(12))
+        est = kl_monte_carlo_pair(p, q, 1_000_000, stream(12))
         assert abs(kl_normal_gamma(p, q) - est.value) < 3.0 * est.standard_error
 
     def test_dimension_mismatch(self, rng):
@@ -128,8 +127,8 @@ class TestExpectedConditionalKl:
 
     def test_matches_sampled_expectation(self, rng):
         p, q = random_ng(rng, 2), random_ng(rng, 2)
-        stream = RngStream(13)
-        ys = sample_gamma(p.gamma, stream, size=100_000)
+        gen = stream(13)
+        ys = sample_gamma(p.gamma, gen, size=100_000)
         vals = np.array([
             kl_mvn(
                 MvNormalParams(p.mu, SpdMatrix(y * p.lam.entries)),
@@ -144,23 +143,23 @@ class TestExpectedConditionalKl:
 class TestMonteCarloEstimator:
     def test_identical_distributions_near_zero(self):
         p = GammaParams(2.0, 1.0)
-        est = kl_monte_carlo_pair(p, GammaParams(2.0, 1.0), 100_000, RngStream(14))
+        est = kl_monte_carlo_pair(p, GammaParams(2.0, 1.0), 100_000, stream(14))
         assert abs(est.value) <= max(3.0 * est.standard_error, 1e-12)
 
     def test_mvn_pair_value(self):
         p = MvNormalParams(mean=[0.0], precision=SpdMatrix.identity(1))
         q = MvNormalParams(mean=[1.0], precision=SpdMatrix.identity(1))
-        est = kl_monte_carlo_pair(p, q, 500_000, RngStream(15))
+        est = kl_monte_carlo_pair(p, q, 500_000, stream(15))
         assert abs(est.value - 0.5) < 3.0 * est.standard_error
 
     def test_requires_min_samples(self):
         with pytest.raises(ValueError):
-            kl_monte_carlo(lambda s: s, lambda s: s, lambda r, m: np.ones(m), 10, RngStream(0))
+            kl_monte_carlo(lambda s: s, lambda s: s, lambda r, m: np.ones(m), 10, stream(0))
 
     def test_partition_independent(self):
         p, q = GammaParams(2.0, 1.0), GammaParams(1.0, 2.0)
-        a = kl_monte_carlo_pair(p, q, 50_000, RngStream(16))
-        b = kl_monte_carlo_pair(p, q, 50_000, RngStream(16))
+        a = kl_monte_carlo_pair(p, q, 50_000, stream(16))
+        b = kl_monte_carlo_pair(p, q, 50_000, stream(16))
         assert a == b
 
     def test_standard_error_survives_large_offset(self):
@@ -168,9 +167,9 @@ class TestMonteCarloEstimator:
         est = kl_monte_carlo(
             lambda s: 1e9 + s,
             lambda s: np.zeros_like(s),
-            lambda r, m: r.generator.standard_normal(m),
+            lambda r, m: r.standard_normal(m),
             1_000_000,
-            RngStream(18),
+            stream(18),
         )
         assert est.value == pytest.approx(1e9, abs=0.01)
         assert est.standard_error == pytest.approx(1e-3, rel=0.01)
@@ -182,7 +181,7 @@ class TestMonteCarloEstimator:
                 lambda s: np.zeros(len(s)),
                 lambda r, m: np.ones(m),
                 1000,
-                RngStream(17),
+                stream(17),
             )
 
     def test_estimate_validation(self):
@@ -236,23 +235,23 @@ class TestMonteCarloPipeline:
         j = 7
         with pytest.raises(ArithmeticError, match=rf"at sample {MC_BATCH_SIZE + j}$"):
             kl_monte_carlo(nan_at(MC_BATCH_SIZE + j), lambda s: np.zeros(len(s)),
-                           index_sampler(), self.N, RngStream(0))
+                           index_sampler(), self.N, stream(0))
 
     def test_scoring_error_outranks_next_draw_error(self):
         # Batch 0 fails to score while batch 1 is drawn, and that draw fails too.
         with pytest.raises(ArithmeticError, match=r"at sample 5$"):
             kl_monte_carlo(nan_at(5), lambda s: np.zeros(len(s)),
-                           index_sampler(fail_on_call=1), self.N, RngStream(0))
+                           index_sampler(fail_on_call=1), self.N, stream(0))
 
     def test_sampler_error_is_raised_when_scoring_succeeds(self):
         with pytest.raises(RuntimeError, match="call 2"):
             kl_monte_carlo(lambda s: s, lambda s: np.zeros(len(s)),
-                           index_sampler(fail_on_call=2), self.N, RngStream(0))
+                           index_sampler(fail_on_call=2), self.N, stream(0))
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()
         est = kl_monte_carlo(lambda s: s, lambda s: np.zeros(len(s)), index_sampler(),
-                             self.N, RngStream(0))
+                             self.N, stream(0))
         assert est.value == pytest.approx((self.N - 1) / 2.0)
         assert threading.active_count() == before
         for logpdf_p, sampler in ((nan_at(MC_BATCH_SIZE + 3), index_sampler()),
@@ -260,7 +259,7 @@ class TestMonteCarloPipeline:
                                   (lambda s: s, index_sampler(fail_on_call=2))):
             with pytest.raises((ArithmeticError, RuntimeError)):
                 kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)), sampler, self.N,
-                               RngStream(0))
+                               stream(0))
             assert threading.active_count() == before
 
     @pytest.mark.parametrize("family", ["mvn", "ng"])
@@ -274,8 +273,8 @@ class TestMonteCarloPipeline:
             sample, logpdf = sample_ng, lambda s, params: logpdf_ng(s[0], s[1], params)
         serial = serial_kl_monte_carlo(lambda s: logpdf(s, p), lambda s: logpdf(s, q),
                                        lambda r, m: sample(p, r, size=m), self.N,
-                                       RngStream(42))
-        assert kl_monte_carlo_pair(p, q, self.N, RngStream(42)) == serial
+                                       stream(42))
+        assert kl_monte_carlo_pair(p, q, self.N, stream(42)) == serial
 
 
 class TestNonNegativity:
