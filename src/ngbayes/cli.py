@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,28 +38,6 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside brackets."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch in "[{(":
-            depth += 1
-        elif ch in "]})":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return parts
-
-
 def _parse_param_doc(spec: str) -> dict:
     """Parameter spec: inline JSON object, a JSON file path, or k=v pairs."""
     spec = spec.strip()
@@ -68,30 +47,33 @@ def _parse_param_doc(spec: str) -> dict:
         with open(spec) as fh:
             return json.load(fh)
     doc = {}
-    for item in _split_top_level(spec):
-        if "=" not in item:
-            raise UsageError(f"cannot parse parameter item {item!r}")
-        key, value = item.split("=", 1)
-        doc[key.strip()] = json.loads(value)
+    for item in re.split(r",(?=\s*[A-Za-z_]\w*\s*=)", spec):  # an item starts at "name="
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"cannot parse parameter item {item!r}")
+        try:
+            doc[key.strip()] = json.loads(value)
+        except ValueError:
+            raise ValueError(f"parameter {key.strip()} is not a JSON value: {value!r}") from None
     return doc
 
 
 def _require(doc: dict, keys: tuple, family: str) -> None:
     if not isinstance(doc, dict):
-        raise UsageError(f"{family} parameters must be a JSON object, got {doc!r}")
+        raise ValueError(f"{family} parameters must be a JSON object, got {doc!r}")
     missing = [k for k in keys if k not in doc]
     if missing:
-        raise UsageError(f"{family} parameters missing field(s): {', '.join(missing)}")
+        raise ValueError(f"{family} parameters missing field(s): {', '.join(missing)}")
     extra = set(doc) - set(keys)
     if extra:
-        raise UsageError(f"{family} parameters have unknown field(s): {sorted(extra)}")
+        raise ValueError(f"{family} parameters have unknown field(s): {sorted(extra)}")
 
 
 def _params_from_doc(family: str, doc: dict):
     if family == "gamma":
         _require(doc, ("a", "b"), family)
         if np.ndim(doc["a"]) or np.ndim(doc["b"]):
-            raise UsageError("gamma parameters a and b must be single numbers")
+            raise ValueError("gamma parameters a and b must be single numbers")
         return GammaParams(shape=doc["a"], rate=doc["b"])
     if family == "mvn":
         _require(doc, ("mu", "Lambda"), family)
@@ -102,7 +84,7 @@ def _params_from_doc(family: str, doc: dict):
         return NormalGammaParams(mu=np.ravel(doc["mu"]),
                                  lam=SpdMatrix(np.atleast_2d(doc["Lambda"])),
                                  shape=doc["a"], rate=doc["b"])
-    raise UsageError(f"unknown family {family!r}")
+    raise ValueError(f"unknown family {family!r}")
 
 
 _KL_CLOSED = {"gamma": kl_gamma, "mvn": kl_mvn, "ng": kl_normal_gamma}
@@ -116,7 +98,9 @@ def _cmd_kl(args) -> int:
     status = EXIT_OK
     if args.check:
         if args.seed < 0:
-            raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        if args.mc_samples < 100:
+            raise ValueError(f"--mc-samples must be at least 100, got {args.mc_samples}")
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
         est = kl_monte_carlo_pair(p, q, args.mc_samples, rng)
         ok = abs(closed - est.value) <= 3.0 * est.standard_error or est.standard_error == 0.0
@@ -229,7 +213,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

@@ -173,8 +173,9 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
     """Responses X_gen beta + white noise, shape (n_sessions, n, n_replications).
 
     Per replication r, beta (shared by the sessions) comes from
-    SeedSequence(master_seed, spawn_key=(r, 0)) and each session's noise in
-    turn from spawn_key=(r, 1), so a column does not depend on n_replications.
+    SeedSequence(master_seed, spawn_key=(r, 0)) and the sessions' noise (one
+    draw, a row per session) from spawn_key=(r, 1), so a column does not
+    depend on n_replications.
     """
     n, k = X_gen.shape
     y = np.empty((n_sessions, n, n_replications))
@@ -182,9 +183,8 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
         beta_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(
             master_seed, spawn_key=(rep, i))) for i in (0, 1))
         beta = beta_rng.standard_normal(k)
-        for session in range(n_sessions):
-            z = noise_rng.standard_normal(n)
-            y[session, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
+        z = noise_rng.standard_normal((n_sessions, n))
+        y[:, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
     return y
 
 

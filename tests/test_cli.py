@@ -53,10 +53,25 @@ class TestKlCommand:
         assert status == 0
         assert json.loads(out)["kl"] == pytest.approx(0.11593, abs=1e-5)
 
-    def test_malformed_params_names_field(self, capsys):
-        status, _, err = run_cli(capsys, "kl", "gamma", "--p", "a=1", "--q", "a=1,b=1")
-        assert status == 1
-        assert "b" in err
+    @pytest.mark.parametrize("spec, message", [
+        ("a=1", "gamma parameters missing field(s): b"),
+        ("a=1,2,b=1", "parameter a is not a JSON value: '1,2'"),
+        ("a=x,b=1", "parameter a is not a JSON value: 'x'"),
+        ("foo", "cannot parse parameter item 'foo'"),
+    ], ids=["missing", "extra-comma", "not-json", "no-equals"])
+    def test_malformed_params_names_field(self, capsys, spec, message):
+        status, out, err = run_cli(capsys, "kl", "gamma", "--p", spec, "--q", "a=1,b=1")
+        assert status == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_bracketed_commas_stay_in_their_item(self, capsys):
+        # One argv item: a comma inside brackets, spaces or not, never starts an item.
+        kv = run_cli(capsys, "kl", "mvn", "--p", "mu=[0, 1],Lambda=[[1, 0], [0, 1]]",
+                     "--q", "mu=[1,0],Lambda=[[2,0],[0,2]]")
+        inline = run_cli(capsys, "kl", "mvn", "--p", '{"mu": [0, 1], "Lambda": [[1, 0], [0, 1]]}',
+                         "--q", '{"mu": [1, 0], "Lambda": [[2, 0], [0, 2]]}')
+        assert kv[0] == inline[0] == 0
+        assert json.loads(kv[1])["kl"] == json.loads(inline[1])["kl"]
 
     def test_non_object_params_file_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "five.json"
@@ -329,6 +344,13 @@ def test_negative_seed_is_named_usage_error(capsys, tmp_path, doc, argv, name):
     status, out, err = run_cli(capsys, *argv)
     assert status == 1 and out == ""
     assert err.startswith(f"error: {name} must be nonnegative, got -")
+
+
+def test_too_few_mc_samples_names_the_flag(capsys):
+    status, out, err = run_cli(capsys, "kl", "gamma", "--p", "a=1,b=1", "--q", "a=2,b=1",
+                               "--check", "--mc-samples", "10")
+    assert status == 1 and out == ""
+    assert err == "error: --mc-samples must be at least 100, got 10\n"
 
 
 def test_float_config_field_takes_an_int(capsys, tmp_path):
