@@ -110,6 +110,9 @@ def _cmd_kl(args) -> int:
             mc_samples=est.sample_count,
             seed=args.seed,
             check="PASS" if ok else "FAIL",
+            # How near the 3-sigma check came to failing; undefined for a constant log-ratio.
+            mc_z_score=(float(closed - est.value) / est.standard_error
+                        if est.standard_error > 0.0 else None),
         )
         if not ok:
             status = EXIT_CHECK_FAILED

@@ -5,13 +5,18 @@ precision scale 1, and the normal-gamma KL is it at the scale's mean
 E[y] = a/b plus the gamma KL of the scales, a chain-rule sum that holds to
 floating-point exactness by construction. The gamma and normal-gamma KLs
 also take batches (see ``NormalGammaParams``), one value per column. One
-Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family.
+Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family; its
+batches run on two worker threads, each batch on its own random stream
+spawned from the caller's Generator, so the estimate depends on the seed
+and the sample count only.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,8 +34,8 @@ __all__ = [
 # Closed-form results below this are implementation bugs, not rounding.
 _NEGATIVE_TOL = -1e-10
 
-# Samples drawn and scored per batch by ``kl_monte_carlo``.
-MC_BATCH_SIZE = 1 << 18
+# Samples per batch, and per random stream, of ``kl_monte_carlo``.
+MC_BATCH_SIZE = 1 << 16
 
 
 class NegativeDivergenceError(ArithmeticError):
@@ -148,17 +153,24 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
     """Direct Monte Carlo estimate of KL[P || Q].
 
     ``rng`` is a numpy Generator, seeded by the caller, and
-    ``sampler_p(rng, size)`` must draw a batch of samples from P with it;
-    ``logpdf_p`` / ``logpdf_q`` must accept such a batch. The estimate is
-    the sample mean of log p - log q with its standard error. Batch means
-    and sums of squared deviations are merged by Chan, Golub & LeVeque
-    (1979), not as sum(d^2)/n - mean^2, which cancels to 0 when the mean is
-    large against the spread; a standard error of 0 means a constant log-ratio.
-    The sampler runs on the calling thread in batch order, so ``rng`` is used
-    as by a serial loop. A one-thread ``ThreadPoolExecutor`` scores each batch
-    (both log-densities) while the next is drawn, so a log-density must not
-    touch ``rng``; a batch's scoring error outranks an error from drawing the
-    next batch, and the worker is joined on every path.
+    ``sampler_p(rng, size)`` must draw a batch of samples from P with the
+    Generator it is handed; ``logpdf_p`` / ``logpdf_q`` must accept such a
+    batch. The estimate is the sample mean of log p - log q with its standard
+    error. Batch means and sums of squared deviations are merged by Chan,
+    Golub & LeVeque (1979), not as sum(d^2)/n - mean^2, which cancels to 0
+    when the mean is large against the spread; a standard error of 0 means a
+    constant log-ratio.
+
+    Samples come in batches of ``MC_BATCH_SIZE``, each with its own stream:
+    batch 0 draws from ``rng`` and batch b >= 1 from the Generator that
+    ``rng.spawn(1)`` returns at its turn (``SeedSequence(s, spawn_key=key +
+    (b - 1,))`` for ``rng``'s sequence ``SeedSequence(s, spawn_key=key)``). So
+    up to ``MC_BATCH_SIZE`` samples are those of one serial draw from ``rng``,
+    and the estimate depends on the seed and ``n_samples`` alone. Two worker
+    threads each draw and score whole batches, and the calling thread merges
+    them in batch order; at most three batches are in flight, so memory does
+    not grow with ``n_samples``. The error of the lowest-numbered failing
+    batch is raised, and no worker outlives the call.
     """
     # Imported here: at module level it would load logging into every CLI process.
     from concurrent.futures import ThreadPoolExecutor
@@ -166,20 +178,33 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
     n_samples = int(n_samples)
     if n_samples < 100:
         raise ValueError("kl_monte_carlo requires n_samples >= 100")
+
+    def batch(gen, start):
+        m = min(MC_BATCH_SIZE, n_samples - start)
+        return m, _score(logpdf_p, logpdf_q, sampler_p(gen, m), start)
+
+    def submitted(pool):
+        for start in range(0, n_samples, MC_BATCH_SIZE):
+            # Spawning reads rng's seed sequence only, never the state batch 0 draws from.
+            yield pool.submit(batch, rng if start == 0 else rng.spawn(1)[0], start)
+
     mean = m2 = 0.0
-    samples = sampler_p(rng, min(MC_BATCH_SIZE, n_samples))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for done in range(0, n_samples, MC_BATCH_SIZE):
-            m = min(MC_BATCH_SIZE, n_samples - done)
-            scored = pool.submit(_score, logpdf_p, logpdf_q, samples, done)
-            try:
-                if done + m < n_samples:
-                    samples = sampler_p(rng, min(MC_BATCH_SIZE, n_samples - done - m))
-            finally:
-                batch_mean, sq_dev = scored.result()  # raised here, it outranks the draw's error
-            delta = batch_mean - mean
-            m2 += sq_dev + delta * delta * done * m / (done + m)
-            mean += delta * m / (done + m)
+    done = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = submitted(pool)
+        pending = deque()
+        try:
+            pending.extend(islice(futures, 2))
+            while pending:
+                pending.extend(islice(futures, 1))  # two batches run while a third waits
+                m, (batch_mean, sq_dev) = pending.popleft().result()
+                delta = batch_mean - mean
+                m2 += sq_dev + delta * delta * done * m / (done + m)
+                mean += delta * m / (done + m)
+                done += m
+        finally:
+            for future in pending:  # after an error: drop the waiting batch, join the rest
+                future.cancel()
     if not math.isfinite(m2):  # an overflowing delta makes m2 inf or NaN too
         raise ArithmeticError("Monte Carlo moments overflowed when merging batches")
     se = math.sqrt(m2 / n_samples / n_samples)

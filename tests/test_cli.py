@@ -132,23 +132,47 @@ class TestKlCommand:
         assert status == 1 and out == ""
         assert err.startswith("numerical error: ") and "overflow" in err
 
-    @pytest.mark.parametrize("family, p, q, mc_value, mc_standard_error", [
-        ("gamma", "a=1.5,b=2", "a=2,b=1", 0.7732044100962542, 0.03347329744743471),
-        ("mvn", '{"mu": [0.5, -0.2, 0.1], "Lambda": [[2, 0.3, 0], [0.3, 1, 0.1], [0, 0.1, 1.5]]}',
-         '{"mu": [0, 0, 0], "Lambda": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
-         0.2870428150617321, 0.02075223550086654),
-        ("ng", '{"mu": [0.5, -0.2], "Lambda": [[2, 0.3], [0.3, 1]], "a": 2, "b": 1}',
-         '{"mu": [0, 0], "Lambda": [[1, 0], [0, 1]], "a": 1, "b": 1}',
-         0.7894173879509055, 0.04009807277566987),
-    ], ids=["gamma", "mvn", "ng"])
-    def test_check_stream_is_pinned(self, capsys, family, p, q, mc_value, mc_standard_error):
-        # --seed s draws from SeedSequence(s, spawn_key=(0,)); the figures pin that stream.
+    GAMMA = ("gamma", "a=1.5,b=2", "a=2,b=1")
+    MVN = ("mvn", '{"mu": [0.5, -0.2, 0.1], "Lambda": [[2, 0.3, 0], [0.3, 1, 0.1], [0, 0.1, 1.5]]}',
+           '{"mu": [0, 0, 0], "Lambda": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')
+    NG = ("ng", '{"mu": [0.5, -0.2], "Lambda": [[2, 0.3], [0.3, 1]], "a": 2, "b": 1}',
+          '{"mu": [0, 0], "Lambda": [[1, 0], [0, 1]], "a": 1, "b": 1}')
+
+    @pytest.mark.parametrize("family, p, q, mc_samples, mc_value, mc_standard_error", [
+        (*GAMMA, 1000, 0.7732044100962542, 0.03347329744743471),
+        (*MVN, 1000, 0.2870428150617321, 0.02075223550086654),
+        (*NG, 1000, 0.7894173879509055, 0.04009807277566987),
+        (*GAMMA, 150000, 0.7401051548378649, 0.0027112685230089037),
+        (*MVN, 150000, 0.2996189935101255, 0.001661665292538758),
+        (*NG, 150000, 0.8193345721740127, 0.003178347496423122),
+    ], ids=["gamma", "mvn", "ng", "gamma-3-batches", "mvn-3-batches", "ng-3-batches"])
+    def test_check_stream_is_pinned(self, capsys, family, p, q, mc_samples, mc_value,
+                                    mc_standard_error):
+        # --seed s draws batch 0 from SeedSequence(s, spawn_key=(0,)) and batch b >= 1
+        # from spawn_key=(0, b - 1); the figures pin those streams.
         status, out, _ = run_cli(capsys, "kl", family, "--p", p, "--q", q,
-                                 "--check", "--mc-samples", "1000", "--seed", "7")
+                                 "--check", "--mc-samples", str(mc_samples), "--seed", "7")
         assert status == 0
         report = json.loads(out)
         assert report["mc_value"] == pytest.approx(mc_value, rel=1e-12)
         assert report["mc_standard_error"] == pytest.approx(mc_standard_error, rel=1e-12)
+
+    def test_check_reports_z_score(self, capsys):
+        family, p, q = self.NG
+        status, out, _ = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                                 "--check", "--mc-samples", "1000", "--seed", "7")
+        assert status == 0
+        report = json.loads(out)
+        kl, mc, se = report["kl"], report["mc_value"], report["mc_standard_error"]
+        assert report["mc_z_score"] == (kl - mc) / se
+
+    def test_check_z_score_is_null_for_zero_standard_error(self, capsys):
+        status, out, _ = run_cli(capsys, "kl", "gamma", "--p", "a=2,b=1", "--q", "a=2,b=1",
+                                 "--check", "--mc-samples", "1000")
+        assert status == 0
+        report = json.loads(out)
+        assert report["mc_standard_error"] == 0.0 and report["check"] == "PASS"
+        assert report["mc_z_score"] is None
 
 
 class TestFitCommand:

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,12 +194,16 @@ class TestMonteCarloEstimator:
 
 
 def serial_kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples, rng):
-    """The one-thread loop: draw, score and merge each batch in turn."""
+    """The one-thread loop: draw, score and merge each batch in turn.
+
+    Batch 0 draws from ``rng`` and each later batch from the next child that
+    ``rng.spawn(1)`` returns.
+    """
     mean = m2 = 0.0
     done = 0
     while done < n_samples:
         m = min(MC_BATCH_SIZE, n_samples - done)
-        samples = sampler_p(rng, m)
+        samples = sampler_p(rng if done == 0 else rng.spawn(1)[0], m)
         diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
         batch_mean = float(np.mean(diff))
         delta = batch_mean - mean
@@ -208,16 +214,25 @@ def serial_kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples, rng):
                       sample_count=n_samples)
 
 
-def index_sampler(fail_on_call=None):
-    """Sampler whose samples are their global indices; raises on call ``fail_on_call``."""
-    drawn = []
+def batch_of(gen):
+    """The batch a Generator feeds: ``stream(s)`` itself is batch 0, its child b is b + 1."""
+    key = gen.bit_generator.seed_seq.spawn_key
+    return 0 if len(key) == 1 else key[-1] + 1
 
-    def sampler(rng, m):
-        if len(drawn) == fail_on_call:
-            raise RuntimeError(f"sampler failed on call {fail_on_call}")
-        start = sum(drawn)
-        drawn.append(m)
-        return np.arange(start, start + m, dtype=float)
+
+def index_sampler(fail_on_batch=None, drawn=None):
+    """Sampler whose samples are their global indices; raises on batch ``fail_on_batch``.
+
+    The batch comes from the Generator, never from call order, which depends
+    on thread timing. Each batch drawn is appended to ``drawn``, if given.
+    """
+    def sampler(gen, m):
+        batch = batch_of(gen)
+        if batch == fail_on_batch:
+            raise RuntimeError(f"sampler failed on batch {batch}")
+        if drawn is not None:
+            drawn.append(batch)
+        return np.arange(batch * MC_BATCH_SIZE, batch * MC_BATCH_SIZE + m, dtype=float)
 
     return sampler
 
@@ -227,7 +242,7 @@ def nan_at(index):
 
 
 class TestMonteCarloPipeline:
-    """Draws overlap the scoring of the previous batch; results are those of a serial loop."""
+    """Batches run on two workers; results are those of a serial loop over the same streams."""
 
     N = 2 * MC_BATCH_SIZE + 1000
 
@@ -238,15 +253,15 @@ class TestMonteCarloPipeline:
                            index_sampler(), self.N, stream(0))
 
     def test_scoring_error_outranks_next_draw_error(self):
-        # Batch 0 fails to score while batch 1 is drawn, and that draw fails too.
+        # Batch 0 fails to score and batch 1 fails to draw: the lower batch's error wins.
         with pytest.raises(ArithmeticError, match=r"at sample 5$"):
             kl_monte_carlo(nan_at(5), lambda s: np.zeros(len(s)),
-                           index_sampler(fail_on_call=1), self.N, stream(0))
+                           index_sampler(fail_on_batch=1), self.N, stream(0))
 
     def test_sampler_error_is_raised_when_scoring_succeeds(self):
-        with pytest.raises(RuntimeError, match="call 2"):
+        with pytest.raises(RuntimeError, match="batch 2"):
             kl_monte_carlo(lambda s: s, lambda s: np.zeros(len(s)),
-                           index_sampler(fail_on_call=2), self.N, stream(0))
+                           index_sampler(fail_on_batch=2), self.N, stream(0))
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()
@@ -255,8 +270,8 @@ class TestMonteCarloPipeline:
         assert est.value == pytest.approx((self.N - 1) / 2.0)
         assert threading.active_count() == before
         for logpdf_p, sampler in ((nan_at(MC_BATCH_SIZE + 3), index_sampler()),
-                                  (nan_at(3), index_sampler(fail_on_call=1)),
-                                  (lambda s: s, index_sampler(fail_on_call=2))):
+                                  (nan_at(3), index_sampler(fail_on_batch=1)),
+                                  (lambda s: s, index_sampler(fail_on_batch=2))):
             with pytest.raises((ArithmeticError, RuntimeError)):
                 kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)), sampler, self.N,
                                stream(0))
@@ -275,6 +290,56 @@ class TestMonteCarloPipeline:
                                        lambda r, m: sample(p, r, size=m), self.N,
                                        stream(42))
         assert kl_monte_carlo_pair(p, q, self.N, stream(42)) == serial
+
+    def test_out_of_order_batches_merge_in_batch_order(self):
+        # Even batches finish last, so the workers complete batches out of order.
+        def sampler(gen, m):
+            if batch_of(gen) % 2 == 0:
+                time.sleep(0.02)
+            return gen.standard_normal(m)
+
+        n = 5 * MC_BATCH_SIZE + 1000
+        serial = serial_kl_monte_carlo(lambda s: 3.0 + s, lambda s: s * s, sampler, n,
+                                       stream(19))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert kl_monte_carlo(lambda s: 3.0 + s, lambda s: s * s, sampler, n,
+                                  stream(19)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_batches_in_flight_are_bounded(self):
+        # Batch 0's scoring waits on an event: the caller may not run ahead of it.
+        n_batches = 40
+        drawn, release, seen = [], threading.Event(), []
+
+        def logpdf_p(s):
+            if s[0] == 0:
+                release.wait(timeout=30)
+            return s
+
+        def release_later():
+            deadline = time.monotonic() + 10
+            while len(drawn) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # room for any further batch to be drawn
+            seen.append(len(drawn))
+            release.set()
+
+        releaser = threading.Thread(target=release_later)
+        releaser.start()
+        try:
+            est = kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)),
+                                 index_sampler(drawn=drawn), n_batches * MC_BATCH_SIZE,
+                                 stream(0))
+        finally:
+            release.set()
+            releaser.join(timeout=30)
+        assert not releaser.is_alive()
+        assert seen[0] <= 3
+        assert sorted(drawn) == list(range(n_batches))
+        assert est.value == pytest.approx((n_batches * MC_BATCH_SIZE - 1) / 2.0)
 
 
 class TestNonNegativity:
