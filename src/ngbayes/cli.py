@@ -145,14 +145,28 @@ def _cmd_fit(args) -> int:
         "complexity": fit.quality.complexity,
         "lme": fit.quality.lme,
         "noise_precision": "identity (default)" if default_p else "from file",
+        "diagnostics": _diagnostics(fit.diagnostics),
     }, allow_nan=False))
     return EXIT_OK
+
+
+def _diagnostics(d, orders=None) -> dict:
+    """The largest evidence-path gap and |trace-identity residual|, each with its
+    column and, for a sweep, its order."""
+    i, j = np.unravel_index(np.argmax(d.evidence_gap), d.evidence_gap.shape)
+    t = int(np.argmax(np.abs(d.trace_residual)))
+    gap = {"max": float(d.evidence_gap[i, j]), "column": int(j)}
+    trace = {"max_abs": float(abs(d.trace_residual[t]))}
+    if orders is not None:
+        gap["order"], trace["order"] = int(orders[i]), int(orders[t])
+    return {"evidence_gap": gap, "trace_residual": trace}
 
 
 def _sweep_summary(result) -> dict:
     i = int(np.flatnonzero(result.orders == result.argmax_order)[0])
     return {"argmax_order": result.argmax_order, "mean_lme": result.mean_lme[i],
-            "mean_acc": result.mean_acc[i], "mean_com": result.mean_com[i]}
+            "mean_acc": result.mean_acc[i], "mean_com": result.mean_com[i],
+            "diagnostics": _diagnostics(result.diagnostics, result.orders)}
 
 
 def _cv_summary(result) -> dict:

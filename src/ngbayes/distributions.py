@@ -20,7 +20,7 @@ Samplers draw from the numpy Generator they are given; seeding is the caller's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,6 +91,7 @@ class NormalGammaParams:
     lam: SpdMatrix
     shape: float
     rate: float | np.ndarray
+    gamma: GammaParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.atleast_1d(np.array(self.mu, dtype=float))
@@ -100,7 +101,7 @@ class NormalGammaParams:
             raise ValueError(
                 f"mu length {mu.shape[0]} does not match lambda dimension {self.lam.dim}"
             )
-        # Reuse GammaParams validation for shape/rate.
+        # GammaParams validates shape/rate and is kept as the scale's distribution.
         g = GammaParams(self.shape, self.rate)
         if mu.shape[1:] != np.shape(g.rate):
             raise ValueError(f"mu shape {mu.shape} does not match rate shape {np.shape(g.rate)}")
@@ -108,14 +109,11 @@ class NormalGammaParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "shape", g.shape)
         object.__setattr__(self, "rate", g.rate)
+        object.__setattr__(self, "gamma", g)
 
     @property
     def dim(self) -> int:
         return self.lam.dim
-
-    @property
-    def gamma(self) -> GammaParams:
-        return GammaParams(self.shape, self.rate)
 
 
 def _quad_form(chol: np.ndarray, d: np.ndarray):

@@ -82,7 +82,13 @@ def _normal_kl(mu_p, lam_p, mu_q, lam_q, weight):
     d = mu_q.reshape(k, -1) - mu_p.reshape(k, -1)  # one column per batch member
     quad = _quad_form(lam_q.chol, d.T).reshape(batch)
     trace = float(np.sum(np.linalg.solve(lam_p.chol, lam_q.chol) ** 2))
-    logdet_term = logdet_spd(lam_q) - logdet_spd(lam_p)
+    return _normal_kl_form(quad, trace, logdet_spd(lam_q) - logdet_spd(lam_p), k, weight)
+
+
+def _normal_kl_form(quad, trace, logdet_term, k, weight):
+    """The normal KL from its terms: the weighted mean term, tr(lam_p^-1 lam_q),
+    ln|lam_q| - ln|lam_p| and the dimension k; ``glm`` feeds it its QR factor's terms.
+    """
     return 0.5 * weight * quad + 0.5 * trace - 0.5 * logdet_term - 0.5 * k
 
 

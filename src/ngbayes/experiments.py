@@ -8,9 +8,10 @@ same conditions. One simulator generates the data of both: per
 replication r, coefficients from numpy's SeedSequence(seed, spawn_key=(r, 0)),
 each session's noise in turn from spawn_key=(r, 1), and y = X_gen beta +
 sigma z. In both, every replication shares the candidate design, so the
-replications are the columns of one response matrix: the sweep makes one
-evidence call per order and the study one cross-validation per design,
-each fitting all replications at once.
+replications are the columns of one response matrix. The sweep factors
+the order-p_max design once and reads every order from that one factor;
+the study makes one cross-validation per design. Each fits all
+replications at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .distributions import NormalGammaParams
-from .glm import GlmDataset, cv_model_quality, log_model_evidence
+from .glm import (
+    FitDiagnostics, GlmDataset, RankDeficientError, cv_model_quality, nested_log_model_evidence,
+)
 from .numerics import SpdMatrix
 
 __all__ = [
@@ -77,13 +80,14 @@ class PolySweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-order means across simulations plus the winning order."""
+    """Per-order means across simulations plus the winning order and the fits' check margins."""
 
     orders: np.ndarray
     mean_lme: np.ndarray
     mean_acc: np.ndarray
     mean_com: np.ndarray
     argmax_order: int = field(init=False)
+    diagnostics: FitDiagnostics | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.orders) and np.max(
@@ -202,27 +206,24 @@ def _standard_prior(p: int) -> NormalGammaParams:
 
 
 def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
-    """Fit every order in [p_min, p_max] to all replications.
+    """Fit every order in [p_min, p_max] to all replications from one factor.
 
-    The replications are the columns of one response matrix, so each order
-    takes one evidence call; a failed check names the order and the
-    column, which is the replication.
+    The order-p_max design is factored once and every order is read from its
+    leading columns; the replications are the columns of one response
+    matrix. A failed check names the order and the column, which is the
+    replication.
     """
     orders = np.arange(config.p_min, config.p_max + 1)
-    x = equally_spaced(config.n_points)
-    y = simulate_polynomial(config)
-    means = np.zeros((3, len(orders)))
-    for idx, order in enumerate(orders):
-        try:
-            data = GlmDataset(y=y, X=build_poly_design(x, int(order)))
-            q = log_model_evidence(data, _standard_prior(int(order) + 1)).quality
-        except ArithmeticError as exc:
-            raise type(exc)(f"fit failed at order {order}: {exc}") from exc
-        except ValueError as exc:  # not type(exc): a FactorizationError takes a pivot index
-            raise ValueError(f"fit failed at order {order}: {exc}") from exc
-        means[:, idx] = np.mean(q.lme), np.mean(q.accuracy), np.mean(q.complexity)
-    return SweepResult(orders=orders, mean_lme=means[0],
-                       mean_acc=means[1], mean_com=means[2])
+    X = build_poly_design(equally_spaced(config.n_points), config.p_max)
+    try:
+        data = GlmDataset(y=simulate_polynomial(config), X=X)
+    except RankDeficientError as exc:  # so is every wider design
+        order = max(exc.columns - 1, config.p_min)
+        raise ValueError(f"fit failed at order {order}: {exc}") from exc
+    q, diagnostics = nested_log_model_evidence(data, _standard_prior(config.p_max + 1), orders)
+    return SweepResult(orders=orders, mean_lme=np.mean(q.lme, axis=1),
+                       mean_acc=np.mean(q.accuracy, axis=1),
+                       mean_com=np.mean(q.complexity, axis=1), diagnostics=diagnostics)
 
 
 def _condition_levels(trials_per_condition: int) -> np.ndarray:

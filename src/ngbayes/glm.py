@@ -2,6 +2,20 @@
 
 The normal-gamma prior on (coefficients, noise precision) is conjugate to
 the Gaussian likelihood, so the posterior is available in closed form.
+Every fit works on one representation, a thin QR factor. A dataset
+factors its whitened rows once, X = Q r, and keeps c = Q^T y and the
+residual e = ||y - Q c||^2, so ||y - X mu||^2 = e + ||c - r mu||^2 for any
+mu. A posterior is one more thin QR, of the prior's and the sessions'
+stacked factors [U_0; r_1; ...] with right-hand side [U_0 mu_0; c_1; ...],
+where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
+factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
+X^T X is never factored or solved with (it is summed only for Lambda_n's
+displayed entries), and no quadratic form is subtracted.
+The leading k columns of a QR factor are the factor of the leading k
+columns, so nested designs (the first k columns, for several k) are all
+read from one factor, their log-determinants, traces and residuals as
+prefix sums; a single fit is the one-size case of the same code.
+
 The closed forms also take R responses (n, R) that share one design,
 which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
 evidence (R,) hold one column per response, and every check runs per
@@ -11,24 +25,27 @@ The log model evidence is computed twice: once as accuracy minus
 complexity and once from the ratio of prior to posterior normalization
 constants. Disagreement between the two paths is treated as an internal
 error; the redundancy is the main correctness harness of this module.
+Each fit reports how close it came: the gap between the paths and the
+residual of the trace identity tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) = k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import NormalGammaParams, _quad_form
-from .divergence import kl_normal_gamma
-from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd, spd_solve
+from .distributions import GammaParams, NormalGammaParams
+from .divergence import _clamp, _normal_kl_form, kl_gamma, kl_normal_gamma
+from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd
 
 __all__ = [
-    "GlmDataset", "GlmFit", "ModelQuality", "DegeneratePosteriorError",
-    "EvidenceConsistencyError", "REFERENCE_PRIOR_PRECISION", "REFERENCE_PRIOR_SHAPE",
-    "REFERENCE_PRIOR_RATE", "fit_posterior", "complexity", "accuracy",
-    "log_model_evidence", "reference_prior", "cv_model_quality",
+    "GlmDataset", "GlmFit", "FitDiagnostics", "ModelQuality", "DegeneratePosteriorError",
+    "EvidenceConsistencyError", "RankDeficientError", "REFERENCE_PRIOR_PRECISION",
+    "REFERENCE_PRIOR_SHAPE", "REFERENCE_PRIOR_RATE", "fit_posterior", "complexity", "accuracy",
+    "log_model_evidence", "nested_log_model_evidence", "reference_prior", "cv_model_quality",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -51,6 +68,14 @@ class EvidenceConsistencyError(ArithmeticError):
     """Accuracy-minus-complexity disagrees with the direct evidence form."""
 
 
+class RankDeficientError(ValueError):
+    """The design's first ``columns`` columns, and so every wider block, are rank deficient."""
+
+    def __init__(self, columns: int):
+        self.columns = columns
+        super().__init__("design matrix is rank deficient")
+
+
 @dataclass(frozen=True)
 class ModelQuality:
     """Log model evidence with its accuracy/complexity decomposition, per response."""
@@ -67,21 +92,49 @@ class ModelQuality:
 
 
 @dataclass(frozen=True)
+class FitDiagnostics:
+    """How close a fit's checks came to failing: a row per model, a column per response.
+
+    ``evidence_gap`` is |accuracy - complexity - direct LME|, which must stay
+    within EVIDENCE_CONSISTENCY_TOL; ``trace_residual`` (one per model) is
+    tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) - k, zero in exact arithmetic.
+    """
+
+    evidence_gap: np.ndarray
+    trace_residual: np.ndarray
+
+
+def _rank_deficient(r: np.ndarray, n: int, k: int) -> bool:
+    """Whether the design's first k columns, whose factor is r[:, :k], lack full rank.
+
+    The block has their singular values, and the rule is numpy's
+    matrix_rank for an n x k matrix.
+    """
+    s = np.linalg.svd(r[:, :k], compute_uv=False)
+    return np.sum(s > s[0] * max(n, k) * np.finfo(float).eps) < k
+
+
+@dataclass(frozen=True)
 class GlmDataset:
-    """Whitened responses, (n,) or (n, R), and design matrix of one GLM.
+    """Whitened responses, (n,) or (n, R), design matrix and their QR factor.
 
     The optional noise precision P is the inverse of the noise correlation
     matrix; None (the default) means white noise. A given P is factored
     once as P = L L^T, and ``y`` and ``X`` are stored whitened, as L^T y
     and L^T X, with ``logdet_P`` = ln|P|. Every later step therefore sees
-    white noise, and sessions combine by summing their statistics. The
-    design matrix must have full column rank.
+    white noise. The whitened rows are factored once, X = Q r, with ``c`` =
+    Q^T y and ``e`` = ||y - Q c||^2 per response, which is what fits compute
+    from. The design matrix must have full column rank, else
+    RankDeficientError names the fewest leading columns that are not.
     """
 
     y: np.ndarray
     X: np.ndarray
     P: InitVar[SpdMatrix | None] = None
     logdet_P: float = field(init=False, default=0.0)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    e: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, P):
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
@@ -101,12 +154,16 @@ class GlmDataset:
             lower = P.chol
             y, X = lower.T @ y, lower.T @ X
             object.__setattr__(self, "logdet_P", logdet_spd(P))
-        if np.linalg.matrix_rank(X) < p:
-            raise ValueError("design matrix is rank deficient")
-        y.setflags(write=False)
-        X.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
+        q, r = np.linalg.qr(X)
+        if _rank_deficient(r, n, p):  # then so is every block from the first deficient one on
+            raise RankDeficientError(next(k for k in range(1, p + 1) if _rank_deficient(r, n, k)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the fit names an overflow
+            c = q.T @ y
+            e = np.sum((y - q @ c) ** 2, axis=0)
+        for name, value in (("y", y), ("X", X), ("r", r), ("c", c), ("e", e)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -119,44 +176,73 @@ class GlmDataset:
 
 @dataclass(frozen=True)
 class GlmFit:
-    """Prior, posterior and quality measures of one fitted GLM."""
+    """Prior, posterior, quality measures and check margins of one fitted GLM."""
 
     prior: NormalGammaParams
     posterior: NormalGammaParams
     quality: ModelQuality
+    diagnostics: FitDiagnostics
+
+
+class _Factor(NamedTuple):
+    """Thin QR a = Q r of stacked factors, with right-hand side b (a column per response)."""
+
+    a: np.ndarray  # [U_0; r_1; ...; r_S]
+    b: np.ndarray  # [U_0 mu_0; c_1; ...; c_S]
+    r: np.ndarray  # r^T r = Lambda_n
+    w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
+    c: np.ndarray  # Q^T b
+    e_fit: np.ndarray  # ||b - Q c||^2
+    e_rows: float | np.ndarray  # the sessions' own residuals, sum of their e
+    batch: tuple  # response shape of the fit: () or (R,)
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _factor(sessions: list, prior: NormalGammaParams) -> _Factor:
+    """Stack the prior's factor U_0 = L_0^T (Lambda_0 = L_0 L_0^T) over the sessions' and factor once."""
+    if any(s.p != prior.dim or s.y.shape[1:] != sessions[0].y.shape[1:] for s in sessions):
+        raise ValueError(
+            f"prior dimension {prior.dim} does not match design columns "
+            f"{[s.p for s in sessions]}, or response counts {[s.y.shape[1:] for s in sessions]} differ"
+        )
+    batch = np.broadcast_shapes(sessions[0].y.shape[1:], np.shape(prior.rate))
+    width = math.prod(batch)
+    u_0 = prior.lam.chol.T
+    blocks = [(u_0, u_0 @ prior.mu.reshape(prior.dim, -1))] + [(s.r, s.c) for s in sessions]
+    a = np.vstack([m for m, _ in blocks])
+    b = np.vstack([np.broadcast_to(v.reshape(len(v), -1), (len(v), width)) for _, v in blocks])
+    q, r = np.linalg.qr(a)
+    c = q.T @ b
+    return _Factor(a, b, r, np.linalg.inv(r), c, np.sum((b - q @ c) ** 2, axis=0),
+                   sum(s.e for s in sessions), batch)
+
+
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
     """Conjugate posterior update for the GLM with a normal-gamma prior.
 
-    ``data`` may be a list of datasets fitted jointly: their X'X, X'y, n
-    and residuals add up. The prior may be a batch of R.
+    ``data`` may be a list of datasets fitted jointly: their factors are
+    stacked under the prior's. The prior may be a batch of R.
     """
-    parts = [data] if isinstance(data, GlmDataset) else data
-    if any(s.p != prior.dim or s.y.shape[1:] != parts[0].y.shape[1:] for s in parts):
-        raise ValueError(
-            f"prior dimension {prior.dim} does not match design columns "
-            f"{[s.p for s in parts]}, or response counts {[s.y.shape[1:] for s in parts]} differ"
-        )
-    # Responses, means and residuals as columns: (n, R), (k, R) and (R,).
-    batch = np.broadcast_shapes(parts[0].y.shape[1:], np.shape(prior.rate))
-    lam_0, mu_0 = prior.lam.entries, prior.mu.reshape(prior.dim, -1)
-    lam_n = SpdMatrix(lam_0 + sum(s.X.T @ s.X for s in parts))
-    mu_n = spd_solve(lam_n, lam_0 @ mu_0 + sum(s.X.T @ s.y.reshape(s.n, -1) for s in parts))
-    # Residual form of y'y + mu_0' Lam_0 mu_0 - mu_n' Lam_n mu_n: equal in
-    # exact arithmetic, but a sum of nonnegative terms with no cancellation.
-    rss = sum(np.sum((s.y.reshape(s.n, -1) - s.X @ mu_n) ** 2, axis=0) for s in parts)
-    d = mu_n - mu_0
-    b_n = prior.rate + 0.5 * (rss + _quad_form(prior.lam.chol, d.T))
+    parts = [data] if isinstance(data, GlmDataset) else list(data)
+    return _posterior(_factor(parts, prior), prior, parts)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _posterior(f: _Factor, prior: NormalGammaParams, parts: list) -> NormalGammaParams:
+    """mu_n and b_n from the factor. Lambda_n's entries, Lambda_0 + sum X^T X, are kept
+    exact for display and comparison; every computation reads its factor R_n."""
+    mu_n = f.w @ f.c
+    b_n = prior.rate + 0.5 * (f.e_rows + f.e_fit)
     ok = np.all(np.isfinite(mu_n), axis=0) & np.isfinite(b_n) & (b_n > 0.0)
     if not np.all(ok):
         j = np.argmin(ok)
         raise DegeneratePosteriorError(f"posterior overflowed or degenerated in column {j}: "
                                        f"b_n = {b_n[j]}, mu_n = {mu_n[:, j]}")
-    return NormalGammaParams(mu=mu_n.reshape(mu_n.shape[:1] + batch), lam=lam_n,
+    return NormalGammaParams(mu=mu_n.reshape(mu_n.shape[:1] + f.batch),
+                             lam=SpdMatrix.from_factor(
+                                 prior.lam.entries + sum(s.X.T @ s.X for s in parts), f.r),
                              shape=prior.shape + 0.5 * sum(s.n for s in parts),
-                             rate=b_n.reshape(batch))
+                             rate=b_n.reshape(f.batch))
 
 
 def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
@@ -164,21 +250,10 @@ def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
     return kl_normal_gamma(posterior, prior)
 
 
-def accuracy(data: GlmDataset, posterior: NormalGammaParams):
-    """Posterior expected log-likelihood of the data, per response.
-
-    Uses the gamma moments <tau> = a_n / b_n and <ln tau> = psi(a_n) - ln b_n
-    plus the Gaussian quadratic-form identity for the coefficient uncertainty.
-    """
-    if posterior.dim != data.p:
-        raise ValueError(
-            f"posterior dimension {posterior.dim} does not match design columns {data.p}"
-        )
+def _accuracy_form(data: GlmDataset, a_n, b_n, rss, trace):
+    """Expected log-likelihood from <tau> = a_n / b_n, <ln tau> = psi(a_n) - ln b_n,
+    the residual sum of squares at mu_n and tr(Lambda_n^-1 X^T X)."""
     n = data.n
-    r = data.y.reshape(n, -1) - data.X @ posterior.mu.reshape(data.p, -1)
-    rss = np.sum(r * r, axis=0).reshape(np.shape(posterior.rate))
-    trace = float(np.trace(spd_solve(posterior.lam, data.X.T @ data.X)))
-    a_n, b_n = posterior.shape, posterior.rate
     return (
         0.5 * data.logdet_P
         - 0.5 * n * _LN_2PI
@@ -187,19 +262,97 @@ def accuracy(data: GlmDataset, posterior: NormalGammaParams):
     )
 
 
-def _direct_lme(data: GlmDataset, prior: NormalGammaParams,
-                posterior: NormalGammaParams):
-    """Evidence from the ratio of prior to posterior normalizers."""
+def accuracy(data: GlmDataset, posterior: NormalGammaParams):
+    """Posterior expected log-likelihood of the data, per response, for any posterior.
+
+    Uses the gamma moments <tau> = a_n / b_n and <ln tau> = psi(a_n) - ln b_n
+    plus the Gaussian quadratic-form identity for the coefficient uncertainty,
+    both read from the dataset's factor: ||y - X mu||^2 = e + ||c - r mu||^2
+    and tr(Lambda^-1 X^T X) = ||L^-1 r^T||_F^2 for Lambda = L L^T.
+    """
+    if posterior.dim != data.p:
+        raise ValueError(
+            f"posterior dimension {posterior.dim} does not match design columns {data.p}"
+        )
+    mu = posterior.mu.reshape(data.p, -1)
+    rss = data.e + np.sum((data.c.reshape(len(data.c), -1) - data.r @ mu) ** 2, axis=0)
+    trace = float(np.sum(np.linalg.solve(posterior.lam.chol, data.r.T) ** 2))
+    return _accuracy_form(data, posterior.shape, posterior.rate,
+                          rss.reshape(np.shape(posterior.rate)), trace)
+
+
+class _Normalizer(NamedTuple):
+    """Shape, rate and ln|Lambda| of normal-gammas, a row per model and a column per response."""
+
+    shape: float
+    rate: np.ndarray
+    logdet: np.ndarray
+
+
+def _direct_lme(data: GlmDataset, prior, posterior):
+    """Evidence from the ratio of prior to posterior normalizers.
+
+    ``prior`` and ``posterior`` are NormalGammaParams or _Normalizers.
+    """
+    logdet_0, logdet_n = (p.logdet if isinstance(p, _Normalizer) else logdet_spd(p.lam)
+                          for p in (prior, posterior))
     n = data.n
     return (
         -0.5 * n * _LN_2PI
         + 0.5 * data.logdet_P
-        + 0.5 * (logdet_spd(prior.lam) - logdet_spd(posterior.lam))
+        + 0.5 * (logdet_0 - logdet_n)
         + prior.shape * np.log(prior.rate)
         - posterior.shape * np.log(posterior.rate)
         + log_gamma(posterior.shape)
         - log_gamma(prior.shape)
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, sizes: np.ndarray,
+              where: list):
+    """Quality and diagnostics of the fits that use the first k columns, k in ``sizes``.
+
+    Row s of every result belongs to size sizes[s]; its prior is the leading
+    block of ``prior``, exact when mu_0 is zero past k. The factor's columns
+    enter each size through the mask ``lead``, so every term is a prefix sum.
+    A failed check names where[s] and the column.
+    """
+    k = prior.dim
+    lead = np.arange(k) < sizes[:, None]  # (S, k): column j enters size s
+    g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
+    resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
+    resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
+    quad = np.einsum("isr,isr->sr", resid[:k], resid[:k])  # ||U_0 (mu_n - mu_0)||^2
+    rss = f.e_rows + np.einsum("isr,isr->sr", resid[k:], resid[k:])  # ||y - X mu_n||^2
+    # 2 (b_n - b_0): the out-of-span residual plus the tail of Q^T b.
+    b_n = prior.rate + 0.5 * (f.e_rows + f.e_fit + ~lead @ f.c ** 2)
+    trace_0, trace_x = (lead @ np.sum(part ** 2, axis=0) for part in (g[:k], g[k:]))
+    logdet_0, logdet_n = (2.0 * lead @ np.log(np.abs(np.diag(m)))[:, None]
+                          for m in (prior.lam.chol, f.r))
+    a_n = prior.shape + 0.5 * data.n
+    ok = np.isfinite(quad) & np.isfinite(rss) & np.isfinite(b_n) & (b_n > 0.0)
+    if not np.all(ok):
+        s, j = np.unravel_index(np.argmin(ok), ok.shape)
+        raise DegeneratePosteriorError(f"{where[s]}posterior overflowed or degenerated in "
+                                       f"column {j}: b_n = {b_n[s, j]}")
+    acc = _accuracy_form(data, a_n, b_n, rss, trace_x[:, None])
+    com = _clamp(_normal_kl_form(quad, trace_0[:, None], logdet_0 - logdet_n, sizes[:, None],
+                                 a_n / b_n)
+                 + kl_gamma(GammaParams(a_n, b_n), prior.gamma))
+    lme = acc - com
+    direct = _direct_lme(data, _Normalizer(prior.shape, prior.rate, logdet_0),
+                         _Normalizer(a_n, b_n, logdet_n))
+    gap = np.abs(lme - direct)
+    ok = gap <= EVIDENCE_CONSISTENCY_TOL
+    if not np.all(ok):
+        s, j = np.unravel_index(np.argmin(ok), ok.shape)
+        raise EvidenceConsistencyError(
+            f"{where[s]}column {j}: decomposition LME {lme[s, j]} vs direct LME "
+            f"{direct[s, j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
+        )
+    return (ModelQuality(lme=lme, accuracy=acc, complexity=com),
+            FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes))
 
 
 def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
@@ -208,21 +361,30 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     The decomposition path (accuracy minus complexity) is cross-checked
     against the direct closed form for every response; a gap beyond
     EVIDENCE_CONSISTENCY_TOL raises EvidenceConsistencyError naming the column.
+    The diagnostics hold one row, the fit's.
     """
-    posterior = fit_posterior(data, prior)
-    acc = accuracy(data, posterior)
-    com = complexity(prior, posterior)
-    lme = acc - com
-    direct = _direct_lme(data, prior, posterior)
-    ok = np.abs(lme - direct) <= EVIDENCE_CONSISTENCY_TOL
-    if not np.all(ok):
-        j = np.argmin(ok)
-        raise EvidenceConsistencyError(
-            f"column {j}: decomposition LME {np.reshape(lme, -1)[j]} vs direct LME "
-            f"{np.reshape(direct, -1)[j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
-        )
-    return GlmFit(prior=prior, posterior=posterior,
-                  quality=ModelQuality(lme=lme, accuracy=acc, complexity=com))
+    f = _factor([data], prior)
+    posterior = _posterior(f, prior, [data])
+    q, diagnostics = _evidence(data, prior, f, np.array([prior.dim]), [""])
+    one = (np.reshape(v[0], f.batch)[()] for v in (q.lme, q.accuracy, q.complexity))
+    return GlmFit(prior=prior, posterior=posterior, quality=ModelQuality(*one),
+                  diagnostics=diagnostics)
+
+
+def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders):
+    """Evidence of the nested models on the first p + 1 design columns, p in ``orders``.
+
+    One factor of the full design serves every order: its leading p + 1
+    columns are the factor of the order-p design under the prior's leading
+    block, which is that order's prior because mu_0 must be zero. Returns a
+    ModelQuality and FitDiagnostics with a row per order; a failed check
+    names the order and the column.
+    """
+    orders = np.asarray(orders)
+    if np.any(prior.mu != 0.0) or np.any((orders < 0) | (orders >= data.p)):
+        raise ValueError(f"nested fits need a zero prior mean and orders in [0, {data.p - 1}]")
+    return _evidence(data, prior, _factor([data], prior), orders + 1,
+                     [f"fit failed at order {p}: " for p in orders])
 
 
 def reference_prior(p: int) -> NormalGammaParams:
@@ -242,8 +404,8 @@ def cv_model_quality(sessions) -> ModelQuality:
     reference prior and the resulting posterior serves as the prior of the
     held-out fit. Per-session qualities are summed, per response: sessions
     hold R responses each, column r of every session forming problem r.
-    Sessions are stored whitened, so the training fit sums the other
-    sessions' statistics and residuals; ln|P| does not enter it.
+    Sessions are stored whitened, so the training fit stacks the other
+    sessions' factors and sums their residuals; ln|P| does not enter it.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
@@ -256,10 +418,9 @@ def cv_model_quality(sessions) -> ModelQuality:
     for i, held_out in enumerate(sessions):
         try:
             trained = fit_posterior([s for j, s in enumerate(sessions) if j != i], prior)
-            fit = log_model_evidence(held_out, trained)
+            q, _ = _evidence(held_out, trained, _factor([held_out], trained),
+                             np.array([p]), [""])
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
-        lme += fit.quality.lme
-        acc += fit.quality.accuracy
-        com += fit.quality.complexity
-    return ModelQuality(lme=lme, accuracy=acc, complexity=com)
+        lme, acc, com = lme + q.lme[0], acc + q.accuracy[0], com + q.complexity[0]
+    return ModelQuality(*(np.reshape(v, batch)[()] for v in (lme, acc, com)))

@@ -132,6 +132,23 @@ class SpdMatrix:
     def identity(k: int) -> "SpdMatrix":
         return SpdMatrix(np.eye(k))
 
+    @staticmethod
+    def from_factor(entries: np.ndarray, r: np.ndarray) -> "SpdMatrix":
+        """A symmetric matrix whose factor is known: r^T r = entries up to rounding,
+        r upper triangular with a nonzero diagonal.
+
+        Nothing is refactored: the cached factor is r^T with each column's sign
+        set to make its diagonal positive.
+        """
+        a = np.asarray(entries, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("SpdMatrix entries must be finite")
+        m = object.__new__(SpdMatrix)
+        for name, value in (("entries", a), ("chol", r.T * np.sign(np.diag(r)))):
+            value.setflags(write=False)
+            object.__setattr__(m, name, value)
+        return m
+
 
 def logdet_spd(a: SpdMatrix) -> float:
     """ln |A| = 2 * sum(log(diag(L)))."""

@@ -220,6 +220,17 @@ class TestFitCommand:
         assert report["b_n"] == pytest.approx(1.0 + 0.5 * (y @ P @ y - mu_n @ lam_n @ mu_n),
                                               rel=1e-10)
 
+    def test_reports_check_margins(self, capsys, tmp_path):
+        data_file, prior_file = self.write_hand_files(tmp_path)
+        status, out, _ = run_cli(capsys, "fit", data_file, prior_file)
+        assert status == 0
+        report = json.loads(out)
+        assert set(report) == {"mu_n", "Lambda_n", "a_n", "b_n", "accuracy", "complexity", "lme",
+                               "noise_precision", "diagnostics"}
+        d = report["diagnostics"]
+        assert d["evidence_gap"]["column"] == 0 and 0.0 <= d["evidence_gap"]["max"] <= 1e-12
+        assert set(d["trace_residual"]) == {"max_abs"} and d["trace_residual"]["max_abs"] <= 1e-14
+
     def test_default_noise_precision_noted(self, capsys, tmp_path):
         data_file, prior_file = self.write_hand_files(tmp_path, with_p=False)
         status, out, _ = run_cli(capsys, "fit", data_file, prior_file)
@@ -292,6 +303,18 @@ class TestSweepCommand:
         assert status == 0
         assert json.loads(out)["argmax_order"] == 0
         assert len(out_csv.read_text().strip().split("\n")) == 2
+
+    def test_reports_check_margins(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_simulations": 3, "p_min": 2, "p_max": 9}))
+        status, out, _ = run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert status == 0
+        d = json.loads(out)["diagnostics"]
+        assert set(d["evidence_gap"]) == {"max", "order", "column"}
+        assert 0.0 <= d["evidence_gap"]["max"] <= 1e-10
+        assert 2 <= d["evidence_gap"]["order"] <= 9 and 0 <= d["evidence_gap"]["column"] < 3
+        assert set(d["trace_residual"]) == {"max_abs", "order"}
+        assert d["trace_residual"]["max_abs"] <= 1e-12 and 2 <= d["trace_residual"]["order"] <= 9
 
     def test_seed_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

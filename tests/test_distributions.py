@@ -41,6 +41,12 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(2), shape=1.0, rate=1.0)
 
+    def test_ng_keeps_its_validated_gamma(self):
+        p = NormalGammaParams(mu=np.zeros((2, 3)), lam=SpdMatrix.identity(2), shape=2.0,
+                              rate=[1.0, 3.0, 0.5])
+        assert p.gamma is p.gamma
+        assert p.gamma.shape == 2.0 and np.array_equal(p.gamma.rate, [1.0, 3.0, 0.5])
+
 
 class TestLogpdfMvn:
     def test_standard_normal_at_mode(self):

@@ -21,11 +21,13 @@ from ngbayes import (
     sample_ng,
 )
 from ngbayes import glm
-from ngbayes.experiments import PolySweepConfig, run_poly_sweep
+from ngbayes.experiments import PolySweepConfig, build_poly_design, run_poly_sweep
 from ngbayes.glm import (
     DegeneratePosteriorError,
     EvidenceConsistencyError,
+    RankDeficientError,
     _direct_lme,
+    nested_log_model_evidence,
     reference_prior,
 )
 from ngbayes.numerics import digamma
@@ -502,3 +504,95 @@ class TestResponseMatrix:
         sessions = [GlmDataset(y=rng.standard_normal((8, 3)), X=X) for _ in range(3)]
         with pytest.raises(EvidenceConsistencyError, match="fold 0: column 2"):
             cv_model_quality(sessions)
+
+
+def leading_prior(lam, m, shape, rate):
+    """The zero-mean prior on the first m columns: Lambda_0's leading block."""
+    return NormalGammaParams(mu=np.zeros(m), lam=SpdMatrix(lam[:m, :m]), shape=shape, rate=rate)
+
+
+def first_deficient(X):
+    """Fewest leading columns of X that numpy's matrix_rank calls rank deficient, or None."""
+    return next((m for m in range(1, X.shape[1] + 1) if np.linalg.matrix_rank(X[:, :m]) < m),
+                None)
+
+
+class TestNestedFits:
+    """Every order read from one factor equals a single fit of its leading columns."""
+
+    @given(k=st.integers(1, 21), extra=st.integers(0, 30), R=st.integers(1, 5),
+           poly=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_orders_match_single_fits(self, k, extra, R, poly, seed):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        X = (build_poly_design(np.linspace(-1.0, 1.0, n), k - 1) if poly
+             else rng.standard_normal((n, k)))
+        Y = X @ rng.standard_normal((k, R)) + rng.standard_normal((n, R))
+        lam, shape, rate = random_spd(rng, k).entries, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        full = first_deficient(X)
+        top = k if full is None else full - 1  # orders 0 .. top - 1 have full rank
+        if top == 0:
+            return
+        q, diagnostics = nested_log_model_evidence(
+            GlmDataset(y=Y, X=X[:, :top]), leading_prior(lam, top, shape, rate), np.arange(top))
+        assert q.lme.shape == (top, R) and diagnostics.trace_residual.shape == (top,)
+        for order in range(top):
+            prior = leading_prior(lam, order + 1, shape, rate)
+            single = log_model_evidence(GlmDataset(y=Y, X=X[:, :order + 1]), prior)
+            for name in ("lme", "accuracy", "complexity"):
+                np.testing.assert_allclose(getattr(q, name)[order],
+                                           getattr(single.quality, name), rtol=1e-10)
+            np.testing.assert_allclose(q.complexity[order],
+                                       kl_normal_gamma(single.posterior, prior), rtol=1e-10)
+
+    @given(k=st.integers(2, 21), extra=st.integers(0, 30), dependent=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rank_decision_matches_matrix_rank(self, k, extra, dependent, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k + extra, k))
+        if dependent < k:  # column `dependent` repeats a mix of the ones before it
+            X[:, dependent] = X[:, :dependent] @ rng.standard_normal(dependent)
+        self.assert_rank_decisions(X)
+
+    def test_order_20_on_unit_interval(self):
+        X = build_poly_design(np.linspace(0.0, 1.0, 1000), 20)
+        assert np.linalg.matrix_rank(X) == 19
+        self.assert_rank_decisions(X)
+
+    @staticmethod
+    def assert_rank_decisions(X):
+        y = np.zeros(len(X))
+        for m in range(1, X.shape[1] + 1):
+            deficient = np.linalg.matrix_rank(X[:, :m]) < m
+            try:
+                GlmDataset(y=y, X=X[:, :m])
+            except RankDeficientError:
+                assert deficient, m
+            else:
+                assert not deficient, m
+        first = first_deficient(X)
+        if first is not None:
+            with pytest.raises(RankDeficientError, match="rank deficient") as info:
+                GlmDataset(y=y, X=X)
+            assert info.value.columns == first
+
+    def test_needs_zero_prior_mean(self, rng):
+        data = GlmDataset(y=rng.standard_normal(6), X=rng.standard_normal((6, 2)))
+        prior = NormalGammaParams(mu=[0.0, 1.0], lam=SpdMatrix.identity(2), shape=1.0, rate=1.0)
+        with pytest.raises(ValueError, match="zero prior mean"):
+            nested_log_model_evidence(data, prior, [0, 1])
+
+
+class TestDiagnostics:
+    def test_single_fit_reports_its_margins(self, rng):
+        data = random_dataset(rng, 20, 3)
+        fit = log_model_evidence(data, unit_prior(3))
+        d = fit.diagnostics
+        direct = _direct_lme(data, fit.prior, fit.posterior)
+        assert d.evidence_gap.shape == (1, 1) and d.trace_residual.shape == (1,)
+        assert d.evidence_gap[0, 0] == pytest.approx(abs(fit.quality.lme - direct), abs=1e-13)
+        lam_n = fit.posterior.lam.entries
+        trace = np.trace(np.linalg.solve(lam_n, data.X.T @ data.X + np.eye(3))) - 3
+        assert d.trace_residual[0] == pytest.approx(trace, abs=1e-12)
