@@ -150,16 +150,18 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _diagnostics(d, orders=None) -> dict:
-    """The largest evidence-path gap and |trace-identity residual|, each with its
-    column and, for a sweep, its order."""
+def _diagnostics(d, rows=None, key="order") -> dict:
+    """The largest evidence-path gap, |trace-identity residual| and mu_n error bound, each
+    with its column and, over several fits, its row's ``key`` (a sweep's order, a fold)."""
     i, j = np.unravel_index(np.argmax(d.evidence_gap), d.evidence_gap.shape)
+    m, c = np.unravel_index(np.argmax(d.mu_error_bound), d.mu_error_bound.shape)
     t = int(np.argmax(np.abs(d.trace_residual)))
     gap = {"max": float(d.evidence_gap[i, j]), "column": int(j)}
     trace = {"max_abs": float(abs(d.trace_residual[t]))}
-    if orders is not None:
-        gap["order"], trace["order"] = int(orders[i]), int(orders[t])
-    return {"evidence_gap": gap, "trace_residual": trace}
+    bound = {"max": float(d.mu_error_bound[m, c]), "column": int(c)}
+    if rows is not None:
+        gap[key], trace[key], bound[key] = int(rows[i]), int(rows[t]), int(rows[m])
+    return {"evidence_gap": gap, "trace_residual": trace, "mu_error_bound": bound}
 
 
 def _sweep_summary(result) -> dict:
@@ -171,7 +173,9 @@ def _sweep_summary(result) -> dict:
 
 def _cv_summary(result) -> dict:
     return {"mean_delta_cvlme": result.mean_delta_lme, "mean_delta_acc": result.mean_delta_acc,
-            "mean_delta_com": result.mean_delta_com, "selection_rate_b": result.selection_rate_b}
+            "mean_delta_com": result.mean_delta_com, "selection_rate_b": result.selection_rate_b,
+            "diagnostics": {design: _diagnostics(d, range(len(d.trace_residual)), "fold")
+                            for design, d in result.diagnostics.items()}}
 
 
 def _cmd_study(args) -> int:

@@ -3,9 +3,9 @@
 The normal-gamma prior on (coefficients, noise precision) is conjugate to
 the Gaussian likelihood, so the posterior is available in closed form.
 Every fit works on one representation, a thin QR factor. A dataset
-factors its whitened rows once, X = Q r, and keeps c = Q^T y and the
-residual e = ||y - Q c||^2, so ||y - X mu||^2 = e + ||c - r mu||^2 for any
-mu. A posterior is one more thin QR, of the prior's and the sessions'
+factors its whitened rows once, X = Q r, and keeps only c = Q^T y, the
+residual e = ||y - Q c||^2 and X^T X, so ||y - X mu||^2 = e + ||c - r mu||^2
+for any mu. A posterior is one more thin QR, of the prior's and the sessions'
 stacked factors [U_0; r_1; ...] with right-hand side [U_0 mu_0; c_1; ...],
 where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
 factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
@@ -27,6 +27,8 @@ constants. Disagreement between the two paths is treated as an internal
 error; the redundancy is the main correctness harness of this module.
 Each fit reports how close it came: the gap between the paths and the
 residual of the trace identity tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) = k.
+Any X is accepted, as an SPD Lambda_0 makes Lambda_n SPD; each fit bounds the
+error of its mu_n, which neither path sees, and raises above MU_ERROR_TOL.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd
 
 __all__ = [
     "GlmDataset", "GlmFit", "FitDiagnostics", "ModelQuality", "DegeneratePosteriorError",
-    "EvidenceConsistencyError", "RankDeficientError", "REFERENCE_PRIOR_PRECISION",
+    "EvidenceConsistencyError", "REFERENCE_PRIOR_PRECISION",
     "REFERENCE_PRIOR_SHAPE", "REFERENCE_PRIOR_RATE", "fit_posterior", "complexity", "accuracy",
     "log_model_evidence", "nested_log_model_evidence", "reference_prior", "cv_model_quality",
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 # Non-informative reference prior used by cross-validated evidence: the
 # training-session posterior dominates these values.
@@ -59,21 +62,17 @@ REFERENCE_PRIOR_RATE = 1e-3
 # Largest gap allowed between the two evidence paths of one response.
 EVIDENCE_CONSISTENCY_TOL = 1e-6
 
+# Largest mu_n error bound a fit may carry: 10x over the accuracy gate's largest (4.9e-7,
+# k = 21, n = 10^5, Lambda_0 = 1e-6 I), below a near-collinear fit's off by 8.9e-7 (1.5e-5).
+MU_ERROR_TOL = 1e-5
+
 
 class DegeneratePosteriorError(ArithmeticError):
-    """Posterior mean or rate overflowed, or the rate came out non-positive."""
+    """Posterior overflowed, b_n is not positive, or mu_n's error bound exceeds MU_ERROR_TOL."""
 
 
 class EvidenceConsistencyError(ArithmeticError):
     """Accuracy-minus-complexity disagrees with the direct evidence form."""
-
-
-class RankDeficientError(ValueError):
-    """The design's first ``columns`` columns, and so every wider block, are rank deficient."""
-
-    def __init__(self, columns: int):
-        self.columns = columns
-        super().__init__("design matrix is rank deficient")
 
 
 @dataclass(frozen=True)
@@ -91,54 +90,45 @@ class ModelQuality:
             raise ValueError("lme must equal accuracy - complexity")
 
 
-@dataclass(frozen=True)
-class FitDiagnostics:
+class FitDiagnostics(NamedTuple):
     """How close a fit's checks came to failing: a row per model, a column per response.
 
     ``evidence_gap`` is |accuracy - complexity - direct LME|, which must stay
     within EVIDENCE_CONSISTENCY_TOL; ``trace_residual`` (one per model) is
-    tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) - k, zero in exact arithmetic.
-    """
+    tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) - k, zero in exact arithmetic;
+    ``mu_error_bound``, within MU_ERROR_TOL, bounds ||mu_n - exact|| / ||mu_n||."""
 
     evidence_gap: np.ndarray
     trace_residual: np.ndarray
+    mu_error_bound: np.ndarray
 
 
-def _rank_deficient(r: np.ndarray, n: int, k: int) -> bool:
-    """Whether the design's first k columns, whose factor is r[:, :k], lack full rank.
-
-    The block has their singular values, and the rule is numpy's
-    matrix_rank for an n x k matrix.
-    """
-    s = np.linalg.svd(r[:, :k], compute_uv=False)
-    return np.sum(s > s[0] * max(n, k) * np.finfo(float).eps) < k
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlmDataset:
-    """Whitened responses, (n,) or (n, R), design matrix and their QR factor.
+    """Sufficient statistics of responses y, (n,) or (n, R), under an n x p design matrix X.
 
     The optional noise precision P is the inverse of the noise correlation
     matrix; None (the default) means white noise. A given P is factored
-    once as P = L L^T, and ``y`` and ``X`` are stored whitened, as L^T y
-    and L^T X, with ``logdet_P`` = ln|P|. Every later step therefore sees
-    white noise. The whitened rows are factored once, X = Q r, with ``c`` =
-    Q^T y and ``e`` = ||y - Q c||^2 per response, which is what fits compute
-    from. The design matrix must have full column rank, else
-    RankDeficientError names the fewest leading columns that are not.
-    """
+    once as P = L L^T and the rows are whitened, L^T y and L^T X, with
+    ``logdet_P`` = ln|P|, so every later step sees white noise. The whitened
+    rows are factored once, X = Q r; fits compute from r, ``c`` = Q^T y and
+    ``e`` = ||y - Q c||^2 per response, and ``xtx`` = X^T X gives Lambda_n's
+    entries. No field grows with n, and X may have any rank and shape."""
 
-    y: np.ndarray
-    X: np.ndarray
+    y: InitVar[np.ndarray]
+    X: InitVar[np.ndarray]
     P: InitVar[SpdMatrix | None] = None
+    n: int = field(init=False)
+    p: int = field(init=False)
     logdet_P: float = field(init=False, default=0.0)
+    xtx: np.ndarray = field(init=False, repr=False, compare=False)
     r: np.ndarray = field(init=False, repr=False, compare=False)
     c: np.ndarray = field(init=False, repr=False, compare=False)
     e: float | np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, P):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        X = np.asarray(self.X, dtype=float)
+    def __post_init__(self, y, X, P):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
         n, p = X.shape
@@ -155,23 +145,13 @@ class GlmDataset:
             y, X = lower.T @ y, lower.T @ X
             object.__setattr__(self, "logdet_P", logdet_spd(P))
         q, r = np.linalg.qr(X)
-        if _rank_deficient(r, n, p):  # then so is every block from the first deficient one on
-            raise RankDeficientError(next(k for k in range(1, p + 1) if _rank_deficient(r, n, k)))
         with np.errstate(over="ignore", invalid="ignore"):  # the fit names an overflow
             c = q.T @ y
             e = np.sum((y - q @ c) ** 2, axis=0)
-        for name, value in (("y", y), ("X", X), ("r", r), ("c", c), ("e", e)):
+        for name, value in (("n", n), ("p", p), ("xtx", X.T @ X), ("r", r), ("c", c), ("e", e)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass(frozen=True)
@@ -200,12 +180,12 @@ class _Factor(NamedTuple):
 @np.errstate(over="ignore", invalid="ignore")
 def _factor(sessions: list, prior: NormalGammaParams) -> _Factor:
     """Stack the prior's factor U_0 = L_0^T (Lambda_0 = L_0 L_0^T) over the sessions' and factor once."""
-    if any(s.p != prior.dim or s.y.shape[1:] != sessions[0].y.shape[1:] for s in sessions):
+    if any(s.p != prior.dim or s.c.shape[1:] != sessions[0].c.shape[1:] for s in sessions):
         raise ValueError(
             f"prior dimension {prior.dim} does not match design columns "
-            f"{[s.p for s in sessions]}, or response counts {[s.y.shape[1:] for s in sessions]} differ"
+            f"{[s.p for s in sessions]}, or response counts {[s.c.shape[1:] for s in sessions]} differ"
         )
-    batch = np.broadcast_shapes(sessions[0].y.shape[1:], np.shape(prior.rate))
+    batch = np.broadcast_shapes(sessions[0].c.shape[1:], np.shape(prior.rate))
     width = math.prod(batch)
     u_0 = prior.lam.chol.T
     blocks = [(u_0, u_0 @ prior.mu.reshape(prior.dim, -1))] + [(s.r, s.c) for s in sessions]
@@ -228,21 +208,40 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _solve(f: _Factor, prior: NormalGammaParams, sizes: np.ndarray, where: list):
+    """mu_n (S, k, R), b_n and mu_n's error bound (S, R) of the fits on the first k columns,
+    k in ``sizes``; a failed check names where[s] and the column. The bound, with W = R_n^-1,
+    is eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) / ||mu_n||: least
+    squares' forward-error bound (Higham, Accuracy and Stability of Numerical Algorithms, 20.1)."""
+    lead = np.arange(prior.dim) < sizes[:, None]  # (S, k): column j enters size s
+    mu_n = (f.w * lead[:, None, :]) @ f.c
+    resid = f.e_rows + f.e_fit + ~lead @ f.c ** 2  # 2 (b_n - b_0): residuals, Q^T b's tail
+    b_n = prior.rate + 0.5 * resid
+    w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (f.w, f.r))
+    mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
+    bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
+             / np.maximum(mu_norm, _TINY))  # 0 for mu_n = 0 from zero data
+    ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
+    if not ok.all():
+        s, j = np.unravel_index(np.argmin(ok), ok.shape)
+        finite = np.isfinite(mu_norm[s, j]) and np.isfinite(b_n[s, j]) and b_n[s, j] > 0.0
+        what = "lost accuracy" if finite else "overflowed or degenerated"
+        raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
+                                       f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
+                                       f"(at most {MU_ERROR_TOL})")
+    return mu_n, b_n, bound
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _posterior(f: _Factor, prior: NormalGammaParams, parts: list) -> NormalGammaParams:
     """mu_n and b_n from the factor. Lambda_n's entries, Lambda_0 + sum X^T X, are kept
     exact for display and comparison; every computation reads its factor R_n."""
-    mu_n = f.w @ f.c
-    b_n = prior.rate + 0.5 * (f.e_rows + f.e_fit)
-    ok = np.all(np.isfinite(mu_n), axis=0) & np.isfinite(b_n) & (b_n > 0.0)
-    if not np.all(ok):
-        j = np.argmin(ok)
-        raise DegeneratePosteriorError(f"posterior overflowed or degenerated in column {j}: "
-                                       f"b_n = {b_n[j]}, mu_n = {mu_n[:, j]}")
-    return NormalGammaParams(mu=mu_n.reshape(mu_n.shape[:1] + f.batch),
+    mu_n, b_n, _ = _solve(f, prior, np.array([prior.dim]), [""])
+    return NormalGammaParams(mu=mu_n[0].reshape(mu_n.shape[1:2] + f.batch),
                              lam=SpdMatrix.from_factor(
-                                 prior.lam.entries + sum(s.X.T @ s.X for s in parts), f.r),
+                                 prior.lam.entries + sum(s.xtx for s in parts), f.r),
                              shape=prior.shape + 0.5 * sum(s.n for s in parts),
-                             rate=b_n.reshape(f.batch))
+                             rate=b_n[0].reshape(f.batch))
 
 
 def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
@@ -319,23 +318,17 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, sizes: np.
     A failed check names where[s] and the column.
     """
     k = prior.dim
-    lead = np.arange(k) < sizes[:, None]  # (S, k): column j enters size s
+    _, b_n, bound = _solve(f, prior, sizes, where)
+    lead = np.arange(k) < sizes[:, None]
     g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
     resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
     resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
     quad = np.einsum("isr,isr->sr", resid[:k], resid[:k])  # ||U_0 (mu_n - mu_0)||^2
     rss = f.e_rows + np.einsum("isr,isr->sr", resid[k:], resid[k:])  # ||y - X mu_n||^2
-    # 2 (b_n - b_0): the out-of-span residual plus the tail of Q^T b.
-    b_n = prior.rate + 0.5 * (f.e_rows + f.e_fit + ~lead @ f.c ** 2)
     trace_0, trace_x = (lead @ np.sum(part ** 2, axis=0) for part in (g[:k], g[k:]))
     logdet_0, logdet_n = (2.0 * lead @ np.log(np.abs(np.diag(m)))[:, None]
                           for m in (prior.lam.chol, f.r))
     a_n = prior.shape + 0.5 * data.n
-    ok = np.isfinite(quad) & np.isfinite(rss) & np.isfinite(b_n) & (b_n > 0.0)
-    if not np.all(ok):
-        s, j = np.unravel_index(np.argmin(ok), ok.shape)
-        raise DegeneratePosteriorError(f"{where[s]}posterior overflowed or degenerated in "
-                                       f"column {j}: b_n = {b_n[s, j]}")
     acc = _accuracy_form(data, a_n, b_n, rss, trace_x[:, None])
     com = _clamp(_normal_kl_form(quad, trace_0[:, None], logdet_0 - logdet_n, sizes[:, None],
                                  a_n / b_n)
@@ -352,7 +345,8 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, sizes: np.
             f"{direct[s, j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
         )
     return (ModelQuality(lme=lme, accuracy=acc, complexity=com),
-            FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes))
+            FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes,
+                           mu_error_bound=bound))
 
 
 def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
@@ -397,30 +391,34 @@ def reference_prior(p: int) -> NormalGammaParams:
     )
 
 
-def cv_model_quality(sessions) -> ModelQuality:
-    """Leave-one-session-out cross-validated model quality.
+def cv_model_quality(sessions):
+    """Leave-one-session-out cross-validated model quality and its check margins.
 
     For each held-out session, the remaining sessions are fitted from the
     reference prior and the resulting posterior serves as the prior of the
-    held-out fit. Per-session qualities are summed, per response: sessions
-    hold R responses each, column r of every session forming problem r.
-    Sessions are stored whitened, so the training fit stacks the other
-    sessions' factors and sums their residuals; ln|P| does not enter it.
+    held-out fit. Accuracy and complexity are summed over sessions, per
+    response (column r of every session forms problem r), and the evidence
+    is their difference. Returns that ModelQuality and the held-out fits'
+    FitDiagnostics, a row per fold. The training fit stacks the other
+    sessions' whitened factors; ln|P| does not enter it.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ValueError("cross-validated evidence requires at least 2 sessions")
-    p, batch = sessions[0].p, sessions[0].y.shape[1:]
-    if any(s.p != p or s.y.shape[1:] != batch for s in sessions):
+    p, batch = sessions[0].p, sessions[0].c.shape[1:]
+    if any(s.p != p or s.c.shape[1:] != batch for s in sessions):
         raise ValueError("all sessions must share the same design columns and response count")
     prior = reference_prior(p)
-    lme = acc = com = 0.0
+    folds = []  # (ModelQuality, FitDiagnostics) per fold
     for i, held_out in enumerate(sessions):
         try:
             trained = fit_posterior([s for j, s in enumerate(sessions) if j != i], prior)
-            q, _ = _evidence(held_out, trained, _factor([held_out], trained),
-                             np.array([p]), [""])
+            folds.append(_evidence(held_out, trained, _factor([held_out], trained),
+                                   np.array([p]), [""]))
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
-        lme, acc, com = lme + q.lme[0], acc + q.accuracy[0], com + q.complexity[0]
-    return ModelQuality(*(np.reshape(v, batch)[()] for v in (lme, acc, com)))
+    quality, diagnostics = zip(*folds)
+    acc, com = (np.reshape(sum(getattr(q, name)[0] for q in quality), batch)[()]
+                for name in ("accuracy", "complexity"))
+    return (ModelQuality(lme=acc - com, accuracy=acc, complexity=com),
+            FitDiagnostics(*map(np.concatenate, zip(*diagnostics))))

@@ -8,14 +8,21 @@ a 50-digit mpmath reference; at n = 10^5 the fit's own check margins are.
 Each bound is at least 10x the worst error the QR factor showed on these
 inputs over about 200 draws (mu_n 1.3e-11, b_n 3.3e-14 when n is near k,
 ln|Lambda_n| 6e-13, trace residual 5e-13, evidence gap 6.2e-16 of |LME|).
+
+Designs that are rank deficient, nearly so, or wider than they are long
+meet an 80-digit reference with Lambda_0 down to 1e-14 I: there each fit
+either raises DegeneratePosteriorError or holds mu_n within its own
+reported error bound, which is at most MU_ERROR_TOL.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngbayes import GlmDataset, NormalGammaParams, SpdMatrix, fit_posterior, log_model_evidence
+from ngbayes.glm import MU_ERROR_TOL, DegeneratePosteriorError
 
 A_0 = B_0 = 1e-3
 
@@ -36,9 +43,9 @@ def problem(k, n, log_lam, log_scale, seed):
     return X, y, prior
 
 
-def reference(X, y, lam_0):
-    """mu_n, b_n and ln|Lambda_n| in 50-digit arithmetic, for mu_0 = 0."""
-    with mpmath.workdps(50):
+def reference(X, y, lam_0, digits=50):
+    """mu_n, b_n and ln|Lambda_n| in ``digits``-digit arithmetic, for mu_0 = 0."""
+    with mpmath.workdps(digits):
         cols = [[mpmath.mpf(float(v)) for v in col] for col in X.T]
         ys = [mpmath.mpf(float(v)) for v in y]
         k = len(cols)
@@ -78,3 +85,53 @@ def test_check_margins_at_n_1e5(k, log_lam, log_scale, seed):
     fit = log_model_evidence(GlmDataset(y=y, X=X), prior)
     assert abs(fit.diagnostics.trace_residual[0]) <= TRACE_TOL
     assert fit.diagnostics.evidence_gap[0, 0] <= GAP_RTOL * max(1.0, abs(fit.quality.lme))
+
+
+def hard_design(design, rng):
+    """A duplicated or near-duplicated column (n = 50), the order-20 polynomial on [0, 1]
+    (rank 19 of 21), or the order-40 polynomial on 30 points of [-1, 1]."""
+    if design == "order 20 on [0, 1]":
+        return np.vander(np.linspace(0.0, 1.0, 200), 21, increasing=True)
+    if design == "order 40 at n = 30":
+        return np.vander(np.linspace(-1.0, 1.0, 30), 41, increasing=True)
+    X = rng.standard_normal((50, 6))
+    X[:, 5] = X[:, 2] + (1e-9 * rng.standard_normal(50) if design == "near-duplicate" else 0.0)
+    return X
+
+
+@given(design=st.sampled_from(["duplicate", "near-duplicate", "order 20 on [0, 1]",
+                               "order 40 at n = 30"]),
+       log_lam=st.floats(-14.0, 0.0), log_scale=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(design="order 20 on [0, 1]", log_lam=-6.0, log_scale=0.0, seed=0)
+@example(design="order 40 at n = 30", log_lam=-10.0, log_scale=0.0, seed=0)
+@example(design="duplicate", log_lam=-6.0, log_scale=8.0, seed=0)
+@settings(max_examples=4, deadline=None)
+def test_hard_designs_raise_or_meet_their_bound(design, log_lam, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    X = hard_design(design, rng)
+    k = X.shape[1]
+    y = 10.0 ** log_scale * (X @ rng.standard_normal(k) + rng.standard_normal(len(X)))
+    prior = NormalGammaParams(mu=np.zeros(k), lam=SpdMatrix(10.0 ** log_lam * np.eye(k)),
+                              shape=A_0, rate=B_0)
+    try:
+        fit = log_model_evidence(GlmDataset(y=y, X=X), prior)
+    except DegeneratePosteriorError:
+        return
+    mu = reference(X, y, prior.lam.entries, digits=80)[0]
+    bound = fit.diagnostics.mu_error_bound[0, 0]
+    assert np.linalg.norm(fit.posterior.mu - mu) <= bound * np.linalg.norm(mu)
+    assert bound <= MU_ERROR_TOL
+
+
+def test_near_collinear_fit_raises():
+    # Full rank by numpy's matrix_rank, and the two evidence paths agree to 1.8e-11,
+    # yet mu_n came out 8.9e-7 off the 80-digit reference (error bound 1.5e-5).
+    rng = np.random.default_rng(47)
+    X = hard_design("near-duplicate", rng)
+    assert np.linalg.matrix_rank(X) == 6
+    y = X @ rng.standard_normal(6) + rng.standard_normal(50)
+    prior = NormalGammaParams(mu=np.zeros(6), lam=SpdMatrix(1e-9 * np.eye(6)),
+                              shape=A_0, rate=B_0)
+    with pytest.raises(DegeneratePosteriorError, match="lost accuracy"):
+        fit_posterior(GlmDataset(y=y, X=X), prior)

@@ -230,6 +230,8 @@ class TestFitCommand:
         d = report["diagnostics"]
         assert d["evidence_gap"]["column"] == 0 and 0.0 <= d["evidence_gap"]["max"] <= 1e-12
         assert set(d["trace_residual"]) == {"max_abs"} and d["trace_residual"]["max_abs"] <= 1e-14
+        assert set(d["mu_error_bound"]) == {"max", "column"}
+        assert 0.0 < d["mu_error_bound"]["max"] <= 1e-14
 
     def test_default_noise_precision_noted(self, capsys, tmp_path):
         data_file, prior_file = self.write_hand_files(tmp_path, with_p=False)
@@ -238,15 +240,20 @@ class TestFitCommand:
         assert "identity" in json.loads(out)["noise_precision"]
 
     def test_rank_deficient_design(self, capsys, tmp_path):
+        # Lambda_n = I + X^T X = [[3, 2], [2, 3]], mu_n = Lambda_n^-1 X^T y = [0.6, 0.6],
+        # b_n = 1 + (y^T y - mu_n^T Lambda_n mu_n) / 2 = 1.7.
         data_file = tmp_path / "data.json"
         data_file.write_text(json.dumps({"y": [1.0, 2.0], "X": [[1.0, 1.0], [1.0, 1.0]]}))
         prior_file = tmp_path / "prior.json"
         prior_file.write_text(json.dumps({
             "mu0": [0.0, 0.0], "Lambda0": [[1.0, 0.0], [0.0, 1.0]], "a0": 1.0, "b0": 1.0
         }))
-        status, _, err = run_cli(capsys, "fit", str(data_file), str(prior_file))
-        assert status == 1
-        assert "rank" in err
+        status, out, _ = run_cli(capsys, "fit", str(data_file), str(prior_file))
+        assert status == 0
+        report = json.loads(out)
+        np.testing.assert_allclose(report["mu_n"], [0.6, 0.6], rtol=1e-14)
+        assert report["Lambda_n"] == [[3.0, 2.0], [2.0, 3.0]]
+        assert report["b_n"] == pytest.approx(1.7, rel=1e-14)
 
     def test_empty_data_rejected(self, capsys, tmp_path):
         _, prior_file = self.write_hand_files(tmp_path)
@@ -315,6 +322,9 @@ class TestSweepCommand:
         assert 2 <= d["evidence_gap"]["order"] <= 9 and 0 <= d["evidence_gap"]["column"] < 3
         assert set(d["trace_residual"]) == {"max_abs", "order"}
         assert d["trace_residual"]["max_abs"] <= 1e-12 and 2 <= d["trace_residual"]["order"] <= 9
+        assert set(d["mu_error_bound"]) == {"max", "order", "column"}
+        assert 0.0 < d["mu_error_bound"]["max"] <= 1e-10
+        assert 2 <= d["mu_error_bound"]["order"] <= 9
 
     def test_seed_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -331,12 +341,14 @@ class TestSweepCommand:
         assert status == 1
         assert "nope" in err
 
-    def test_rank_deficient_order_is_named(self, capsys, tmp_path):
+    def test_more_coefficients_than_points(self, capsys, tmp_path):
+        # Orders 30 to 40 have more columns than the 30 points; the prior keeps them fittable.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_simulations": 2, "n_points": 30, "p_max": 40}))
-        status, out, err = run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "o.csv"))
-        assert status == 1 and out == ""
-        assert err == "error: fit failed at order 30: design matrix is rank deficient\n"
+        out_csv = tmp_path / "o.csv"
+        status, _, _ = run_cli(capsys, "sweep", str(cfg), "--out", str(out_csv))
+        assert status == 0
+        assert len(out_csv.read_text().strip().split("\n")) == 1 + 41
 
 
 class TestCvStudyCommand:
@@ -349,6 +361,13 @@ class TestCvStudyCommand:
         report = json.loads(out)
         assert "mean_delta_cvlme" in report
         assert len(out_csv.read_text().strip().split("\n")) == 4
+        assert set(report["diagnostics"]) == {"a", "b"}
+        for d in report["diagnostics"].values():
+            assert set(d["evidence_gap"]) == set(d["mu_error_bound"]) == {"max", "fold", "column"}
+            assert set(d["trace_residual"]) == {"max_abs", "fold"}
+            assert 0 <= d["evidence_gap"]["fold"] < 5 and 0 <= d["evidence_gap"]["column"] < 3
+            assert 0.0 <= d["evidence_gap"]["max"] <= 1e-10
+            assert 0.0 < d["mu_error_bound"]["max"] <= 1e-10
 
     def test_single_session_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

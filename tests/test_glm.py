@@ -25,7 +25,6 @@ from ngbayes.experiments import PolySweepConfig, build_poly_design, run_poly_swe
 from ngbayes.glm import (
     DegeneratePosteriorError,
     EvidenceConsistencyError,
-    RankDeficientError,
     _direct_lme,
     nested_log_model_evidence,
     reference_prior,
@@ -45,11 +44,15 @@ def hand_dataset():
     return GlmDataset(y=[2.0], X=[[1.0]], P=SpdMatrix.identity(1))
 
 
-def random_dataset(rng, n, p):
+def random_problem(rng, n, p):
+    """Responses y and design X of a random linear model with unit noise."""
     X = rng.standard_normal((n, p))
     beta = rng.standard_normal(p)
-    y = X @ beta + rng.standard_normal(n)
-    return GlmDataset(y=y, X=X, P=SpdMatrix.identity(n))
+    return X @ beta + rng.standard_normal(n), X
+
+
+def random_dataset(rng, n, p):
+    return GlmDataset(*random_problem(rng, n, p), P=SpdMatrix.identity(n))
 
 
 def ar1_precision(n, rho):
@@ -96,11 +99,6 @@ def solve_exact(a, b):
 
 
 class TestGlmDataset:
-    def test_rank_deficient_rejected(self):
-        X = np.column_stack([np.ones(4), np.ones(4)])
-        with pytest.raises(ValueError, match="rank"):
-            GlmDataset(y=np.zeros(4), X=X, P=SpdMatrix.identity(4))
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             GlmDataset(y=[1.0, 2.0], X=[[1.0]], P=SpdMatrix.identity(1))
@@ -129,19 +127,17 @@ class TestFitPosterior:
         assert post.shape - 1.0 == 17 / 2
 
     def test_precision_increment(self, rng):
-        data = random_dataset(rng, 12, 4)
-        post = fit_posterior(data, unit_prior(4))
-        np.testing.assert_allclose(
-            post.lam.entries - np.eye(4), data.X.T @ data.X, atol=1e-10
-        )
+        y, X = random_problem(rng, 12, 4)
+        post = fit_posterior(GlmDataset(y=y, X=X, P=SpdMatrix.identity(12)), unit_prior(4))
+        np.testing.assert_allclose(post.lam.entries - np.eye(4), X.T @ X, atol=1e-10)
 
     def test_batch_equals_sequential(self, rng):
         for _ in range(20):
-            data = random_dataset(rng, 10, 3)
-            full = fit_posterior(data, unit_prior(3))
+            y, X = random_problem(rng, 10, 3)
+            full = fit_posterior(GlmDataset(y=y, X=X, P=SpdMatrix.identity(10)), unit_prior(3))
             m = 4
-            first = GlmDataset(y=data.y[:m], X=data.X[:m], P=SpdMatrix.identity(m))
-            second = GlmDataset(y=data.y[m:], X=data.X[m:], P=SpdMatrix.identity(10 - m))
+            first = GlmDataset(y=y[:m], X=X[:m], P=SpdMatrix.identity(m))
+            second = GlmDataset(y=y[m:], X=X[m:], P=SpdMatrix.identity(10 - m))
             seq = fit_posterior(second, fit_posterior(first, unit_prior(3)))
             np.testing.assert_allclose(seq.mu, full.mu, atol=1e-8)
             np.testing.assert_allclose(seq.lam.entries, full.lam.entries, atol=1e-8)
@@ -206,11 +202,12 @@ class TestAccuracy:
         assert accuracy(hand_dataset(), post) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_posterior_sampling(self, rng):
-        data = random_dataset(rng, 8, 2)
+        y, X = random_problem(rng, 8, 2)
+        data = GlmDataset(y=y, X=X, P=SpdMatrix.identity(8))
         post = fit_posterior(data, unit_prior(2))
         betas, taus = sample_ng(post, stream(21), size=100_000)
         # Log-likelihood of y under each posterior draw, P = identity.
-        resid = data.y[None, :] - betas @ data.X.T
+        resid = y[None, :] - betas @ X.T
         quad = np.sum(resid * resid, axis=1)
         n = data.n
         ll = 0.5 * n * np.log(taus) - 0.5 * n * LN_2PI - 0.5 * taus * quad
@@ -268,12 +265,10 @@ class TestLogModelEvidence:
         assert improved >= 18
 
     def test_doubling_data_increases_precision_and_complexity(self, rng):
-        data = random_dataset(rng, 10, 2)
-        doubled = GlmDataset(
-            y=np.concatenate([data.y, data.y]),
-            X=np.vstack([data.X, data.X]),
-            P=SpdMatrix.identity(20),
-        )
+        y, X = random_problem(rng, 10, 2)
+        data = GlmDataset(y=y, X=X, P=SpdMatrix.identity(10))
+        doubled = GlmDataset(y=np.concatenate([y, y]), X=np.vstack([X, X]),
+                             P=SpdMatrix.identity(20))
         f1 = log_model_evidence(data, unit_prior(2))
         f2 = log_model_evidence(doubled, unit_prior(2))
         diff = f2.posterior.lam.entries - f1.posterior.lam.entries
@@ -328,7 +323,7 @@ class TestColoredNoise:
                                       reference_prior(p))
             _, acc, lme = dense_fit(*held_out, trained)
             expected += (lme, acc, acc - lme)
-        got = cv_model_quality([GlmDataset(y=y, X=X, P=SpdMatrix(P)) for y, X, P in raw])
+        got, _ = cv_model_quality([GlmDataset(y=y, X=X, P=SpdMatrix(P)) for y, X, P in raw])
         np.testing.assert_allclose((got.lme, got.accuracy, got.complexity), expected,
                                    rtol=1e-9)
 
@@ -356,13 +351,27 @@ class TestCrossValidatedEvidence:
 
     def test_session_order_invariance(self, rng):
         sessions = self.make_sessions(rng, n_sessions=4)
-        a = cv_model_quality(sessions).lme
-        b = cv_model_quality(sessions[::-1]).lme
+        a = cv_model_quality(sessions)[0].lme
+        b = cv_model_quality(sessions[::-1])[0].lme
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_quality_decomposition(self, rng):
-        q = cv_model_quality(self.make_sessions(rng))
+        q, _ = cv_model_quality(self.make_sessions(rng))
         assert q.lme == pytest.approx(q.accuracy - q.complexity, abs=1e-10)
+
+    def test_large_sessions(self):
+        # Totals near 7e5: a separate running sum of lme missed acc - com by over 1e-10.
+        rng = np.random.default_rng(5)
+        n, p, R = 10**5, 3, 4
+        X = rng.standard_normal((n, p))
+        beta = rng.standard_normal((p, R))
+        sessions = [GlmDataset(y=X @ beta + rng.standard_normal((n, R)), X=X) for _ in range(5)]
+        q, diagnostics = cv_model_quality(sessions)
+        np.testing.assert_array_equal(q.lme, q.accuracy - q.complexity)
+        assert np.all(np.abs(q.lme) > 1e5)
+        assert diagnostics.evidence_gap.shape == diagnostics.mu_error_bound.shape == (5, R)
+        assert diagnostics.trace_residual.shape == (5,)
+        assert np.all(diagnostics.mu_error_bound <= glm.MU_ERROR_TOL)
 
     def test_mismatched_columns_rejected(self, rng):
         sessions = self.make_sessions(rng, p=2)
@@ -440,13 +449,16 @@ class TestResponseMatrix:
         for n, rho in ((11, 0.4), (7, -0.3), (15, 0.8), (9, 0.0)):
             X = rng.standard_normal((n, p))
             Y = X @ rng.standard_normal((p, R)) + rng.standard_normal((n, R))
-            sessions.append(GlmDataset(y=Y, X=X, P=SpdMatrix(ar1_precision(n, rho))))
+            sessions.append((Y, X, ar1_precision(n, rho)))
         prior = reference_prior(p)
         for i in range(len(sessions)):
             train = [s for j, s in enumerate(sessions) if j != i]
-            got = fit_posterior(train, prior)
-            stacked = fit_posterior(GlmDataset(y=np.concatenate([s.y for s in train]),
-                                               X=np.vstack([s.X for s in train])), prior)
+            got = fit_posterior([GlmDataset(y=Y, X=X, P=SpdMatrix(P)) for Y, X, P in train],
+                                prior)
+            stacked = fit_posterior(GlmDataset(y=np.concatenate([Y for Y, _, _ in train]),
+                                               X=np.vstack([X for _, X, _ in train]),
+                                               P=SpdMatrix(linalg.block_diag(
+                                                   *[P for _, _, P in train]))), prior)
             np.testing.assert_allclose(got.mu, stacked.mu, rtol=1e-12)
             np.testing.assert_allclose(got.lam.entries, stacked.lam.entries, rtol=1e-12)
             assert got.shape == stacked.shape
@@ -458,9 +470,9 @@ class TestResponseMatrix:
         for n in (8, 12, 10):
             Xs.append(rng.standard_normal((n, p)))
             ys.append(Xs[-1] @ rng.standard_normal((p, R)) + rng.standard_normal((n, R)))
-        got = cv_model_quality(GlmDataset(y=y, X=X) for y, X in zip(ys, Xs))
+        got, _ = cv_model_quality(GlmDataset(y=y, X=X) for y, X in zip(ys, Xs))
         for r in range(R):
-            single = cv_model_quality(GlmDataset(y=y[:, r], X=X) for y, X in zip(ys, Xs))
+            single, _ = cv_model_quality(GlmDataset(y=y[:, r], X=X) for y, X in zip(ys, Xs))
             scale = max(1.0, abs(single.accuracy), abs(single.complexity))
             assert_columns_match(got.lme[r], single.lme, scale)
             assert_columns_match(got.accuracy[r], single.accuracy, scale)
@@ -511,33 +523,27 @@ def leading_prior(lam, m, shape, rate):
     return NormalGammaParams(mu=np.zeros(m), lam=SpdMatrix(lam[:m, :m]), shape=shape, rate=rate)
 
 
-def first_deficient(X):
-    """Fewest leading columns of X that numpy's matrix_rank calls rank deficient, or None."""
-    return next((m for m in range(1, X.shape[1] + 1) if np.linalg.matrix_rank(X[:, :m]) < m),
-                None)
-
-
 class TestNestedFits:
     """Every order read from one factor equals a single fit of its leading columns."""
 
-    @given(k=st.integers(1, 21), extra=st.integers(0, 30), R=st.integers(1, 5),
-           poly=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @given(k=st.integers(1, 21), extra=st.integers(-20, 30), R=st.integers(1, 5),
+           poly=st.booleans(), dependent=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_orders_match_single_fits(self, k, extra, R, poly, seed):
+    def test_orders_match_single_fits(self, k, extra, R, poly, dependent, seed):
+        # Rank deficient designs and ones with more columns than rows included.
         rng = np.random.default_rng(seed)
-        n = k + extra
+        n = max(1, k + extra)
         X = (build_poly_design(np.linspace(-1.0, 1.0, n), k - 1) if poly
              else rng.standard_normal((n, k)))
+        if dependent < k:  # column `dependent` repeats a mix of the ones before it
+            X[:, dependent] = X[:, :dependent] @ rng.standard_normal(dependent)
         Y = X @ rng.standard_normal((k, R)) + rng.standard_normal((n, R))
         lam, shape, rate = random_spd(rng, k).entries, rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
-        full = first_deficient(X)
-        top = k if full is None else full - 1  # orders 0 .. top - 1 have full rank
-        if top == 0:
-            return
         q, diagnostics = nested_log_model_evidence(
-            GlmDataset(y=Y, X=X[:, :top]), leading_prior(lam, top, shape, rate), np.arange(top))
-        assert q.lme.shape == (top, R) and diagnostics.trace_residual.shape == (top,)
-        for order in range(top):
+            GlmDataset(y=Y, X=X), leading_prior(lam, k, shape, rate), np.arange(k))
+        assert q.lme.shape == diagnostics.mu_error_bound.shape == (k, R)
+        assert diagnostics.trace_residual.shape == (k,)
+        for order in range(k):
             prior = leading_prior(lam, order + 1, shape, rate)
             single = log_model_evidence(GlmDataset(y=Y, X=X[:, :order + 1]), prior)
             for name in ("lme", "accuracy", "complexity"):
@@ -545,38 +551,8 @@ class TestNestedFits:
                                            getattr(single.quality, name), rtol=1e-10)
             np.testing.assert_allclose(q.complexity[order],
                                        kl_normal_gamma(single.posterior, prior), rtol=1e-10)
-
-    @given(k=st.integers(2, 21), extra=st.integers(0, 30), dependent=st.integers(1, 20),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_rank_decision_matches_matrix_rank(self, k, extra, dependent, seed):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((k + extra, k))
-        if dependent < k:  # column `dependent` repeats a mix of the ones before it
-            X[:, dependent] = X[:, :dependent] @ rng.standard_normal(dependent)
-        self.assert_rank_decisions(X)
-
-    def test_order_20_on_unit_interval(self):
-        X = build_poly_design(np.linspace(0.0, 1.0, 1000), 20)
-        assert np.linalg.matrix_rank(X) == 19
-        self.assert_rank_decisions(X)
-
-    @staticmethod
-    def assert_rank_decisions(X):
-        y = np.zeros(len(X))
-        for m in range(1, X.shape[1] + 1):
-            deficient = np.linalg.matrix_rank(X[:, :m]) < m
-            try:
-                GlmDataset(y=y, X=X[:, :m])
-            except RankDeficientError:
-                assert deficient, m
-            else:
-                assert not deficient, m
-        first = first_deficient(X)
-        if first is not None:
-            with pytest.raises(RankDeficientError, match="rank deficient") as info:
-                GlmDataset(y=y, X=X)
-            assert info.value.columns == first
+            np.testing.assert_allclose(diagnostics.mu_error_bound[order],
+                                       single.diagnostics.mu_error_bound[0], rtol=1e-6)
 
     def test_needs_zero_prior_mean(self, rng):
         data = GlmDataset(y=rng.standard_normal(6), X=rng.standard_normal((6, 2)))
@@ -587,12 +563,35 @@ class TestNestedFits:
 
 class TestDiagnostics:
     def test_single_fit_reports_its_margins(self, rng):
-        data = random_dataset(rng, 20, 3)
+        y, X = random_problem(rng, 20, 3)
+        data = GlmDataset(y=y, X=X, P=SpdMatrix.identity(20))
         fit = log_model_evidence(data, unit_prior(3))
         d = fit.diagnostics
         direct = _direct_lme(data, fit.prior, fit.posterior)
-        assert d.evidence_gap.shape == (1, 1) and d.trace_residual.shape == (1,)
+        assert d.evidence_gap.shape == d.mu_error_bound.shape == (1, 1)
+        assert d.trace_residual.shape == (1,)
         assert d.evidence_gap[0, 0] == pytest.approx(abs(fit.quality.lme - direct), abs=1e-13)
         lam_n = fit.posterior.lam.entries
-        trace = np.trace(np.linalg.solve(lam_n, data.X.T @ data.X + np.eye(3))) - 3
+        trace = np.trace(np.linalg.solve(lam_n, X.T @ X + np.eye(3))) - 3
         assert d.trace_residual[0] == pytest.approx(trace, abs=1e-12)
+        # ||R_n^-1||_F^2 = tr(Lambda_n^-1), ||R_n||_F^2 = tr(Lambda_n), residual 2 (b_n - b_0).
+        w2, r2 = np.trace(np.linalg.inv(lam_n)), np.trace(lam_n)
+        mu = np.linalg.norm(fit.posterior.mu)
+        bound = (np.finfo(float).eps * math.sqrt(w2 * r2)
+                 * (mu + math.sqrt(w2 * 2.0 * (fit.posterior.rate - 1.0))) / mu)
+        assert d.mu_error_bound[0, 0] == pytest.approx(bound, rel=1e-10)
+
+    def test_zero_data_has_zero_mu_error_bound(self, rng):
+        fit = log_model_evidence(GlmDataset(y=np.zeros(6), X=rng.standard_normal((6, 2))),
+                                 unit_prior(2))
+        assert fit.diagnostics.mu_error_bound[0, 0] == 0.0
+
+    def test_mu_error_bound_names_order_and_fold(self, monkeypatch, rng):
+        monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.0)
+        X = rng.standard_normal((8, 2))
+        with pytest.raises(DegeneratePosteriorError, match="lost accuracy.*column 0"):
+            fit_posterior(GlmDataset(y=rng.standard_normal(8), X=X), unit_prior(2))
+        with pytest.raises(DegeneratePosteriorError, match="order 0: posterior lost accuracy"):
+            run_poly_sweep(PolySweepConfig(n_simulations=2, p_max=6, master_seed=1))
+        with pytest.raises(DegeneratePosteriorError, match="fold 0: posterior lost accuracy"):
+            cv_model_quality([GlmDataset(y=rng.standard_normal(8), X=X) for _ in range(3)])
