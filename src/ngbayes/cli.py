@@ -152,16 +152,15 @@ def _cmd_fit(args) -> int:
 
 def _diagnostics(d, rows=None, key="order") -> dict:
     """The largest evidence-path gap, |trace-identity residual| and mu_n error bound, each
-    with its column and, over several fits, its row's ``key`` (a sweep's order, a fold)."""
-    i, j = np.unravel_index(np.argmax(d.evidence_gap), d.evidence_gap.shape)
-    m, c = np.unravel_index(np.argmax(d.mu_error_bound), d.mu_error_bound.shape)
-    t = int(np.argmax(np.abs(d.trace_residual)))
-    gap = {"max": float(d.evidence_gap[i, j]), "column": int(j)}
-    trace = {"max_abs": float(abs(d.trace_residual[t]))}
-    bound = {"max": float(d.mu_error_bound[m, c]), "column": int(c)}
-    if rows is not None:
-        gap[key], trace[key], bound[key] = int(rows[i]), int(rows[t]), int(rows[m])
-    return {"evidence_gap": gap, "trace_residual": trace, "mu_error_bound": bound}
+    with its column (the residual has none) and, over several fits, its row's ``key`` (a
+    sweep's order, a fold)."""
+    def worst(values, name):
+        at = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+        out = {name: float(abs(values[at]))} | ({"column": int(at[1])} if len(at) > 1 else {})
+        return out if rows is None else out | {key: int(rows[at[0]])}
+    return {"evidence_gap": worst(d.evidence_gap, "max"),
+            "trace_residual": worst(d.trace_residual, "max_abs"),
+            "mu_error_bound": worst(d.mu_error_bound, "max")}
 
 
 def _sweep_summary(result) -> dict:

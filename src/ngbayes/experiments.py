@@ -132,7 +132,7 @@ class CvStudyResult:
     acc_b: np.ndarray
     com_a: np.ndarray
     com_b: np.ndarray
-    diagnostics: dict | None = field(default=None, repr=False, compare=False)
+    diagnostics: dict = field(repr=False, compare=False)
 
     @property
     def n_replications(self) -> int:

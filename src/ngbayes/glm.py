@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _LN_2PI = math.log(2.0 * math.pi)
-_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 # Non-informative reference prior used by cross-validated evidence: the
 # training-session posterior dominates these values.
@@ -62,8 +62,8 @@ REFERENCE_PRIOR_RATE = 1e-3
 # Largest gap allowed between the two evidence paths of one response.
 EVIDENCE_CONSISTENCY_TOL = 1e-6
 
-# Largest mu_n error bound a fit may carry: 10x over the accuracy gate's largest (4.9e-7,
-# k = 21, n = 10^5, Lambda_0 = 1e-6 I), below a near-collinear fit's off by 8.9e-7 (1.5e-5).
+# Largest mu_n error bound a fit may carry: 20x over the largest an accuracy-gate input carries
+# (4.9e-7, k = 21, n = 10^5, Lambda_0 = 1e-6 I), below a near-collinear fit off by 8.9e-7 (1.5e-5).
 MU_ERROR_TOL = 1e-5
 
 
@@ -96,7 +96,8 @@ class FitDiagnostics(NamedTuple):
     ``evidence_gap`` is |accuracy - complexity - direct LME|, which must stay
     within EVIDENCE_CONSISTENCY_TOL; ``trace_residual`` (one per model) is
     tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) - k, zero in exact arithmetic;
-    ``mu_error_bound``, within MU_ERROR_TOL, bounds ||mu_n - exact|| / ||mu_n||."""
+    ``mu_error_bound``, within MU_ERROR_TOL, bounds ||mu_n - exact|| over max(||mu_n||,
+    sqrt(b_n / a_n) / ||R_n||_F), the latter at most the posterior's smallest deviation."""
 
     evidence_gap: np.ndarray
     trace_residual: np.ndarray
@@ -165,36 +166,63 @@ class GlmFit:
 
 
 class _Factor(NamedTuple):
-    """Thin QR a = Q r of stacked factors, with right-hand side b (a column per response)."""
+    """Thin QR a = Q r of stacked factors, with right-hand side b (a column per response),
+    and the fits it was solved for, on the first k columns for each k in its sizes (row s)."""
 
     a: np.ndarray  # [U_0; r_1; ...; r_S]
     b: np.ndarray  # [U_0 mu_0; c_1; ...; c_S]
     r: np.ndarray  # r^T r = Lambda_n
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
     c: np.ndarray  # Q^T b
-    e_fit: np.ndarray  # ||b - Q c||^2
     e_rows: float | np.ndarray  # the sessions' own residuals, sum of their e
     batch: tuple  # response shape of the fit: () or (R,)
+    lead: np.ndarray  # (S, k): column j enters size s
+    mu_n: np.ndarray  # (S, k, R)
+    b_n: np.ndarray  # (S, R)
+    bound: np.ndarray  # (S, R): mu_n's error bound
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _factor(sessions: list, prior: NormalGammaParams) -> _Factor:
-    """Stack the prior's factor U_0 = L_0^T (Lambda_0 = L_0 L_0^T) over the sessions' and factor once."""
-    if any(s.p != prior.dim or s.c.shape[1:] != sessions[0].c.shape[1:] for s in sessions):
+def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -> _Factor:
+    """Stack the prior's factor U_0 = L_0^T (Lambda_0 = L_0 L_0^T) over the sessions', factor
+    once and solve for the fits on the first k columns, k in ``sizes`` (default all). With
+    W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) bounds
+    ||mu_n - exact|| (Higham, Accuracy and Stability of Numerical Algorithms, 20.1); the bound
+    is that over max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). A failed check names where[s]."""
+    k = prior.dim
+    if any(s.p != k or s.c.shape[1:] != sessions[0].c.shape[1:] for s in sessions):
         raise ValueError(
-            f"prior dimension {prior.dim} does not match design columns "
+            f"prior dimension {k} does not match design columns "
             f"{[s.p for s in sessions]}, or response counts {[s.c.shape[1:] for s in sessions]} differ"
         )
     batch = np.broadcast_shapes(sessions[0].c.shape[1:], np.shape(prior.rate))
     width = math.prod(batch)
     u_0 = prior.lam.chol.T
-    blocks = [(u_0, u_0 @ prior.mu.reshape(prior.dim, -1))] + [(s.r, s.c) for s in sessions]
+    blocks = [(u_0, u_0 @ prior.mu.reshape(k, -1))] + [(s.r, s.c) for s in sessions]
     a = np.vstack([m for m, _ in blocks])
     b = np.vstack([np.broadcast_to(v.reshape(len(v), -1), (len(v), width)) for _, v in blocks])
     q, r = np.linalg.qr(a)
-    c = q.T @ b
-    return _Factor(a, b, r, np.linalg.inv(r), c, np.sum((b - q @ c) ** 2, axis=0),
-                   sum(s.e for s in sessions), batch)
+    w, c, e_rows = np.linalg.inv(r), q.T @ b, sum(s.e for s in sessions)
+    sizes = np.array([k]) if sizes is None else sizes
+    lead = np.arange(k) < sizes[:, None]
+    mu_n = (w * lead[:, None, :]) @ c
+    # 2 (b_n - b_0): the sessions' and the stack's residuals, and Q^T b past each size
+    resid = e_rows + np.sum((b - q @ c) ** 2, axis=0) + ~lead @ c ** 2
+    b_n = prior.rate + 0.5 * resid
+    w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (w, r))
+    mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
+    a_n = prior.shape + 0.5 * sum(s.n for s in sessions)
+    bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
+             / np.maximum(mu_norm, np.sqrt(b_n / (a_n * r2))))
+    ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
+    if not ok.all():
+        s, j = np.unravel_index(np.argmin(ok), ok.shape)
+        finite = np.isfinite(mu_norm[s, j]) and np.isfinite(b_n[s, j]) and b_n[s, j] > 0.0
+        what = "lost accuracy" if finite else "overflowed or degenerated"
+        raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
+                                       f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
+                                       f"(at most {MU_ERROR_TOL})")
+    return _Factor(a, b, r, w, c, e_rows, batch, lead, mu_n, b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -208,40 +236,14 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _solve(f: _Factor, prior: NormalGammaParams, sizes: np.ndarray, where: list):
-    """mu_n (S, k, R), b_n and mu_n's error bound (S, R) of the fits on the first k columns,
-    k in ``sizes``; a failed check names where[s] and the column. The bound, with W = R_n^-1,
-    is eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) / ||mu_n||: least
-    squares' forward-error bound (Higham, Accuracy and Stability of Numerical Algorithms, 20.1)."""
-    lead = np.arange(prior.dim) < sizes[:, None]  # (S, k): column j enters size s
-    mu_n = (f.w * lead[:, None, :]) @ f.c
-    resid = f.e_rows + f.e_fit + ~lead @ f.c ** 2  # 2 (b_n - b_0): residuals, Q^T b's tail
-    b_n = prior.rate + 0.5 * resid
-    w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (f.w, f.r))
-    mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
-    bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
-             / np.maximum(mu_norm, _TINY))  # 0 for mu_n = 0 from zero data
-    ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
-    if not ok.all():
-        s, j = np.unravel_index(np.argmin(ok), ok.shape)
-        finite = np.isfinite(mu_norm[s, j]) and np.isfinite(b_n[s, j]) and b_n[s, j] > 0.0
-        what = "lost accuracy" if finite else "overflowed or degenerated"
-        raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
-                                       f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
-                                       f"(at most {MU_ERROR_TOL})")
-    return mu_n, b_n, bound
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def _posterior(f: _Factor, prior: NormalGammaParams, parts: list) -> NormalGammaParams:
-    """mu_n and b_n from the factor. Lambda_n's entries, Lambda_0 + sum X^T X, are kept
-    exact for display and comparison; every computation reads its factor R_n."""
-    mu_n, b_n, _ = _solve(f, prior, np.array([prior.dim]), [""])
-    return NormalGammaParams(mu=mu_n[0].reshape(mu_n.shape[1:2] + f.batch),
+    """The posterior the factor was solved for. Lambda_n's entries, Lambda_0 + sum X^T X,
+    are kept exact for display and comparison; every computation reads its factor R_n."""
+    return NormalGammaParams(mu=f.mu_n[0].reshape(f.mu_n.shape[1:2] + f.batch),
                              lam=SpdMatrix.from_factor(
                                  prior.lam.entries + sum(s.xtx for s in parts), f.r),
                              shape=prior.shape + 0.5 * sum(s.n for s in parts),
-                             rate=b_n[0].reshape(f.batch))
+                             rate=f.b_n[0].reshape(f.batch))
 
 
 def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
@@ -308,18 +310,16 @@ def _direct_lme(data: GlmDataset, prior, posterior):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, sizes: np.ndarray,
-              where: list):
-    """Quality and diagnostics of the fits that use the first k columns, k in ``sizes``.
+def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, where=("",)):
+    """Quality and diagnostics of the fits the factor was solved for.
 
-    Row s of every result belongs to size sizes[s]; its prior is the leading
-    block of ``prior``, exact when mu_0 is zero past k. The factor's columns
-    enter each size through the mask ``lead``, so every term is a prefix sum.
-    A failed check names where[s] and the column.
+    Row s of every result belongs to the size that row s of the mask ``f.lead``
+    takes; its prior is the leading block of ``prior``, exact when mu_0 is zero
+    past that size. The factor's columns enter each size through the mask, so
+    every term is a prefix sum. A failed check names where[s] and the column.
     """
-    k = prior.dim
-    _, b_n, bound = _solve(f, prior, sizes, where)
-    lead = np.arange(k) < sizes[:, None]
+    k, lead, b_n = prior.dim, f.lead, f.b_n
+    sizes = lead.sum(axis=1)
     g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
     resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
     resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
@@ -346,7 +346,7 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, sizes: np.
         )
     return (ModelQuality(lme=lme, accuracy=acc, complexity=com),
             FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes,
-                           mu_error_bound=bound))
+                           mu_error_bound=f.bound))
 
 
 def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
@@ -359,7 +359,7 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     """
     f = _factor([data], prior)
     posterior = _posterior(f, prior, [data])
-    q, diagnostics = _evidence(data, prior, f, np.array([prior.dim]), [""])
+    q, diagnostics = _evidence(data, prior, f)
     one = (np.reshape(v[0], f.batch)[()] for v in (q.lme, q.accuracy, q.complexity))
     return GlmFit(prior=prior, posterior=posterior, quality=ModelQuality(*one),
                   diagnostics=diagnostics)
@@ -377,8 +377,8 @@ def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders
     orders = np.asarray(orders)
     if np.any(prior.mu != 0.0) or np.any((orders < 0) | (orders >= data.p)):
         raise ValueError(f"nested fits need a zero prior mean and orders in [0, {data.p - 1}]")
-    return _evidence(data, prior, _factor([data], prior), orders + 1,
-                     [f"fit failed at order {p}: " for p in orders])
+    where = [f"fit failed at order {p}: " for p in orders]
+    return _evidence(data, prior, _factor([data], prior, orders + 1, where), where)
 
 
 def reference_prior(p: int) -> NormalGammaParams:
@@ -413,8 +413,7 @@ def cv_model_quality(sessions):
     for i, held_out in enumerate(sessions):
         try:
             trained = fit_posterior([s for j, s in enumerate(sessions) if j != i], prior)
-            folds.append(_evidence(held_out, trained, _factor([held_out], trained),
-                                   np.array([p]), [""]))
+            folds.append(_evidence(held_out, trained, _factor([held_out], trained)))
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
     quality, diagnostics = zip(*folds)

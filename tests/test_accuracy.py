@@ -12,7 +12,7 @@ ln|Lambda_n| 6e-13, trace residual 5e-13, evidence gap 6.2e-16 of |LME|).
 Designs that are rank deficient, nearly so, or wider than they are long
 meet an 80-digit reference with Lambda_0 down to 1e-14 I: there each fit
 either raises DegeneratePosteriorError or holds mu_n within its own
-reported error bound, which is at most MU_ERROR_TOL.
+reported error bound, which is at most MU_ERROR_TOL, and some must fit.
 """
 
 import mpmath
@@ -99,15 +99,9 @@ def hard_design(design, rng):
     return X
 
 
-@given(design=st.sampled_from(["duplicate", "near-duplicate", "order 20 on [0, 1]",
-                               "order 40 at n = 30"]),
-       log_lam=st.floats(-14.0, 0.0), log_scale=st.floats(0.0, 8.0),
-       seed=st.integers(0, 2**32 - 1))
-@example(design="order 20 on [0, 1]", log_lam=-6.0, log_scale=0.0, seed=0)
-@example(design="order 40 at n = 30", log_lam=-10.0, log_scale=0.0, seed=0)
-@example(design="duplicate", log_lam=-6.0, log_scale=8.0, seed=0)
-@settings(max_examples=4, deadline=None)
-def test_hard_designs_raise_or_meet_their_bound(design, log_lam, log_scale, seed):
+def hard_fit_meets_its_bound(design, log_lam, log_scale, seed):
+    """False if the fit raises DegeneratePosteriorError; otherwise assert that mu_n is within
+    its bound of the 80-digit reference, and the bound within MU_ERROR_TOL."""
     rng = np.random.default_rng(seed)
     X = hard_design(design, rng)
     k = X.shape[1]
@@ -117,21 +111,41 @@ def test_hard_designs_raise_or_meet_their_bound(design, log_lam, log_scale, seed
     try:
         fit = log_model_evidence(GlmDataset(y=y, X=X), prior)
     except DegeneratePosteriorError:
-        return
+        return False
     mu = reference(X, y, prior.lam.entries, digits=80)[0]
+    post = fit.posterior
+    floor = np.sqrt(post.rate / (post.shape * np.trace(post.lam.entries)))
     bound = fit.diagnostics.mu_error_bound[0, 0]
-    assert np.linalg.norm(fit.posterior.mu - mu) <= bound * np.linalg.norm(mu)
+    assert np.linalg.norm(post.mu - mu) <= bound * max(np.linalg.norm(post.mu), floor)
     assert bound <= MU_ERROR_TOL
+    return True
+
+
+@given(design=st.sampled_from(["duplicate", "near-duplicate", "order 20 on [0, 1]",
+                               "order 40 at n = 30"]),
+       log_lam=st.floats(-14.0, 0.0), log_scale=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_hard_designs_raise_or_meet_their_bound(design, log_lam, log_scale, seed):
+    hard_fit_meets_its_bound(design, log_lam, log_scale, seed)
+
+
+@pytest.mark.parametrize("design, log_lam, log_scale", [
+    ("order 20 on [0, 1]", -6.0, 0.0), ("order 40 at n = 30", -10.0, 0.0),
+    ("duplicate", -6.0, 8.0),
+])
+def test_hard_designs_that_fit(design, log_lam, log_scale):
+    assert hard_fit_meets_its_bound(design, log_lam, log_scale, 0)
 
 
 def test_near_collinear_fit_raises():
-    # Full rank by numpy's matrix_rank, and the two evidence paths agree to 1.8e-11,
-    # yet mu_n came out 8.9e-7 off the 80-digit reference (error bound 1.5e-5).
+    # Full rank by numpy's matrix_rank, and the two evidence paths agree to 2.6e-10,
+    # yet mu_n came out 2.5e-5 off the 80-digit reference (error bound 4.1e-4).
     rng = np.random.default_rng(47)
     X = hard_design("near-duplicate", rng)
     assert np.linalg.matrix_rank(X) == 6
     y = X @ rng.standard_normal(6) + rng.standard_normal(50)
-    prior = NormalGammaParams(mu=np.zeros(6), lam=SpdMatrix(1e-9 * np.eye(6)),
+    prior = NormalGammaParams(mu=np.zeros(6), lam=SpdMatrix(1e-12 * np.eye(6)),
                               shape=A_0, rate=B_0)
     with pytest.raises(DegeneratePosteriorError, match="lost accuracy"):
         fit_posterior(GlmDataset(y=y, X=X), prior)

@@ -255,6 +255,20 @@ class TestFitCommand:
         assert report["Lambda_n"] == [[3.0, 2.0], [2.0, 3.0]]
         assert report["b_n"] == pytest.approx(1.7, rel=1e-14)
 
+    def test_data_without_signal(self, capsys, tmp_path):
+        # X^T y = 0, so mu_n = 0 (to rounding), Lambda_n = 3 and b_n = 1 + y^T y / 2 = 2.
+        data_file = tmp_path / "data.json"
+        data_file.write_text(json.dumps({"y": [1.0, -1.0], "X": [[1.0], [1.0]]}))
+        prior_file = tmp_path / "prior.json"
+        prior_file.write_text(json.dumps({"mu0": [0.0], "Lambda0": [[1.0]], "a0": 1.0, "b0": 1.0}))
+        status, out, _ = run_cli(capsys, "fit", str(data_file), str(prior_file))
+        assert status == 0
+        report = json.loads(out)
+        assert abs(report["mu_n"][0]) <= 1e-15
+        assert report["Lambda_n"] == [[3.0]]
+        assert report["b_n"] == pytest.approx(2.0, rel=1e-14)
+        assert report["diagnostics"]["mu_error_bound"]["max"] <= 1e-15
+
     def test_empty_data_rejected(self, capsys, tmp_path):
         _, prior_file = self.write_hand_files(tmp_path)
         data_file = tmp_path / "empty.json"

@@ -576,15 +576,27 @@ class TestDiagnostics:
         assert d.trace_residual[0] == pytest.approx(trace, abs=1e-12)
         # ||R_n^-1||_F^2 = tr(Lambda_n^-1), ||R_n||_F^2 = tr(Lambda_n), residual 2 (b_n - b_0).
         w2, r2 = np.trace(np.linalg.inv(lam_n)), np.trace(lam_n)
-        mu = np.linalg.norm(fit.posterior.mu)
+        mu, post = np.linalg.norm(fit.posterior.mu), fit.posterior
+        scale = max(mu, math.sqrt(post.rate / (post.shape * r2)))
         bound = (np.finfo(float).eps * math.sqrt(w2 * r2)
-                 * (mu + math.sqrt(w2 * 2.0 * (fit.posterior.rate - 1.0))) / mu)
+                 * (mu + math.sqrt(w2 * 2.0 * (post.rate - 1.0))) / scale)
         assert d.mu_error_bound[0, 0] == pytest.approx(bound, rel=1e-10)
 
     def test_zero_data_has_zero_mu_error_bound(self, rng):
         fit = log_model_evidence(GlmDataset(y=np.zeros(6), X=rng.standard_normal((6, 2))),
                                  unit_prior(2))
         assert fit.diagnostics.mu_error_bound[0, 0] == 0.0
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    def test_fit_without_signal(self, rng, noise):
+        # X^T y = 0 (up to rounding, or a 1e-12 signal): mu_n is too small to tell from zero,
+        # so its error is judged against sqrt(b_n / a_n) / ||R_n||_F instead of ||mu_n||.
+        X = np.column_stack([np.ones(1000), np.linspace(-1.0, 1.0, 1000)])
+        y = rng.standard_normal(1000)
+        y -= X @ np.linalg.lstsq(X, y, rcond=None)[0] - noise * X[:, 1]
+        fit = log_model_evidence(GlmDataset(y=y, X=X), unit_prior(2))
+        assert np.linalg.norm(fit.posterior.mu) < 1e-10
+        assert fit.diagnostics.mu_error_bound[0, 0] <= 1e-13
 
     def test_mu_error_bound_names_order_and_fold(self, monkeypatch, rng):
         monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.0)
