@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -182,9 +183,11 @@ def _cmd_study(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     result = args.run(config)
+    start = time.perf_counter()
     args.write(result, args.out)
-    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out)},
-                     allow_nan=False))
+    stage_s = result.stage_s | {"write": time.perf_counter() - start}
+    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out),
+                      "stage_s": stage_s}, allow_nan=False))
     return EXIT_OK
 
 

@@ -7,19 +7,24 @@ design from a constrained parametric-modulator design generated from the
 same conditions. One simulator generates the data of both: per
 replication r, coefficients from numpy's SeedSequence(seed, spawn_key=(r, 0)),
 each session's noise in turn from spawn_key=(r, 1), and y = X_gen beta +
-sigma z. In both, every replication shares the candidate design, so the
-replications are the columns of one response matrix. The sweep factors
-the order-p_max design once and reads every order from that one factor;
-the study makes one cross-validation per design. Each fits all
-replications at once.
+sigma z. The seed words of all 2R streams come from one vectorized pass of
+SeedSequence's own hash, so the draws are numpy's, bit for bit, without
+building a SeedSequence per stream. In both, every replication shares the
+candidate design, so the replications are the columns of one response
+matrix. The sweep factors the order-p_max design once and reads every
+order from that one factor; the study makes one cross-validation per
+design. Each fits all replications at once, and each result records the
+seconds spent simulating and fitting.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import NormalGammaParams
 from .glm import FitDiagnostics, GlmDataset, cv_model_quality, nested_log_model_evidence
@@ -78,7 +83,8 @@ class PolySweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-order means across simulations plus the winning order and the fits' check margins."""
+    """Per-order means across simulations plus the winning order, the fits' check margins
+    and ``stage_s``, the seconds spent in each stage ('simulate', 'fit')."""
 
     orders: np.ndarray
     mean_lme: np.ndarray
@@ -86,6 +92,7 @@ class SweepResult:
     mean_com: np.ndarray
     argmax_order: int = field(init=False)
     diagnostics: FitDiagnostics | None = field(default=None, repr=False, compare=False)
+    stage_s: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.orders) and np.max(
@@ -124,7 +131,8 @@ class CvStudyConfig:
 @dataclass(frozen=True)
 class CvStudyResult:
     """Per-replication cross-validated qualities of designs A and B; ``diagnostics`` maps
-    'a' and 'b' to their FitDiagnostics, a row per fold."""
+    'a' and 'b' to their FitDiagnostics, a row per fold, and ``stage_s`` gives the seconds
+    spent in each stage ('simulate', 'fit')."""
 
     cvlme_a: np.ndarray
     cvlme_b: np.ndarray
@@ -133,6 +141,7 @@ class CvStudyResult:
     com_a: np.ndarray
     com_b: np.ndarray
     diagnostics: dict = field(repr=False, compare=False)
+    stage_s: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_replications(self) -> int:
@@ -172,6 +181,74 @@ def build_poly_design(x, order: int) -> np.ndarray:
     return np.vander(x, order + 1, increasing=True)
 
 
+# numpy's SeedSequence (O'Neill's seed_seq hash): pool size, hash and mix constants.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hasher(init: int, mult: int):
+    """numpy's SeedSequence hash with its running constant h, which depends on no data:
+    each call XORs h into the words, steps h to h * mult, multiplies by it and folds the
+    high half down. The constants are Python ints masked to 32 bits; the words are uint32
+    arrays, which wrap silently."""
+    h = init
+
+    def hash_words(value):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h
+        return value ^ value >> 16
+
+    return hash_words
+
+
+def _seed_states(seed: int, keys) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64) for every row of
+    ``keys`` (K, m), one word < 2**32 per key entry, as a (K, 4) array.
+
+    numpy's algorithm run on all keys at once: the seed's little-endian 32-bit words,
+    zero-padded to the pool size, then the key's words are hashed into a pool of 4
+    words, which is drawn out as 8 words and paired into uint64.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    words = [np.array([seed >> s & _MASK32], dtype=np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL - len(words)) + list(keys.T)
+    hashmix, draw = _hasher(_INIT_A, _MULT_A), _hasher(_INIT_B, _MULT_B)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.stack(np.broadcast_arrays(*(draw(pool[i % _POOL]) for i in range(2 * _POOL))),
+                     axis=-1)
+    # Paired as numpy pairs them: little-endian words viewed as little-endian uint64.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A SeedSequence's precomputed PCG64 seed: answers generate_state(4, np.uint64) only."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed state holds {len(self.words)} uint64 words, "
+                             f"asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: int,
               n_sessions: int) -> np.ndarray:
     """Responses X_gen beta + white noise, shape (n_sessions, n, n_replications).
@@ -179,15 +256,17 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
     Per replication r, beta (shared by the sessions) comes from
     SeedSequence(master_seed, spawn_key=(r, 0)) and the sessions' noise (one
     draw, a row per session) from spawn_key=(r, 1), so a column does not
-    depend on n_replications.
+    depend on n_replications. The 2R seed states are computed in one pass and
+    each seeds its PCG64; each replication's matrix-vector product stays its
+    own, as one product over all replications rounds differently.
     """
     n, k = X_gen.shape
+    keys = np.indices((n_replications, 2), dtype=np.uint32).reshape(2, -1).T  # (r, i), r-major
+    states = _seed_states(master_seed, keys).reshape(n_replications, 2, _POOL)
     y = np.empty((n_sessions, n, n_replications))
-    for rep in range(n_replications):
-        beta_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(
-            master_seed, spawn_key=(rep, i))) for i in (0, 1))
-        beta = beta_rng.standard_normal(k)
-        z = noise_rng.standard_normal((n_sessions, n))
+    for rep, (beta_state, noise_state) in enumerate(states):
+        beta = np.random.default_rng(_SeedState(beta_state)).standard_normal(k)
+        z = np.random.default_rng(_SeedState(noise_state)).standard_normal((n_sessions, n))
         y[:, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
     return y
 
@@ -213,13 +292,18 @@ def run_poly_sweep(config: PolySweepConfig) -> SweepResult:
     matrix. A failed check names the order and the column, which is the
     replication.
     """
+    start = time.perf_counter()
+    y = simulate_polynomial(config)
+    simulated = time.perf_counter()
     orders = np.arange(config.p_min, config.p_max + 1)
     X = build_poly_design(equally_spaced(config.n_points), config.p_max)
-    data = GlmDataset(y=simulate_polynomial(config), X=X)
+    data = GlmDataset(y=y, X=X)
     q, diagnostics = nested_log_model_evidence(data, _standard_prior(config.p_max + 1), orders)
     return SweepResult(orders=orders, mean_lme=np.mean(q.lme, axis=1),
                        mean_acc=np.mean(q.accuracy, axis=1),
-                       mean_com=np.mean(q.complexity, axis=1), diagnostics=diagnostics)
+                       mean_com=np.mean(q.complexity, axis=1), diagnostics=diagnostics,
+                       stage_s={"simulate": simulated - start,
+                                "fit": time.perf_counter() - simulated})
 
 
 def _condition_levels(trials_per_condition: int) -> np.ndarray:
@@ -252,13 +336,17 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
     X_a = _design_flexible(levels)
     X_b = _design_modulated(levels)
     X_gen = X_b if config.generator == "B" else X_a
+    start = time.perf_counter()
     y = _simulate(X_gen, config.noise_variance, config.master_seed,
                   config.n_replications, config.n_sessions)
+    simulated = time.perf_counter()
     qa, da = cv_model_quality(GlmDataset(y=ys, X=X_a) for ys in y)
     qb, db = cv_model_quality(GlmDataset(y=ys, X=X_b) for ys in y)
     return CvStudyResult(cvlme_a=qa.lme, cvlme_b=qb.lme, acc_a=qa.accuracy,
                          acc_b=qb.accuracy, com_a=qa.complexity, com_b=qb.complexity,
-                         diagnostics={"a": da, "b": db})
+                         diagnostics={"a": da, "b": db},
+                         stage_s={"simulate": simulated - start,
+                                  "fit": time.perf_counter() - simulated})
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

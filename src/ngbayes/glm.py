@@ -398,9 +398,11 @@ def cv_model_quality(sessions):
     reference prior and the resulting posterior serves as the prior of the
     held-out fit. Accuracy and complexity are summed over sessions, per
     response (column r of every session forms problem r), and the evidence
-    is their difference. Returns that ModelQuality and the held-out fits'
-    FitDiagnostics, a row per fold. The training fit stacks the other
-    sessions' whitened factors; ln|P| does not enter it.
+    is their difference. Returns that ModelQuality and FitDiagnostics with a
+    row per fold: the held-out fit's evidence gap and trace residual, and the
+    larger of the training and held-out fits' mu_n error bounds, the check
+    that came closer to failing. The training fit stacks the other sessions'
+    whitened factors; ln|P| does not enter it.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
@@ -412,8 +414,11 @@ def cv_model_quality(sessions):
     folds = []  # (ModelQuality, FitDiagnostics) per fold
     for i, held_out in enumerate(sessions):
         try:
-            trained = fit_posterior([s for j, s in enumerate(sessions) if j != i], prior)
-            folds.append(_evidence(held_out, trained, _factor([held_out], trained)))
+            training = [s for j, s in enumerate(sessions) if j != i]
+            f = _factor(training, prior)
+            trained = _posterior(f, prior, training)
+            q, d = _evidence(held_out, trained, _factor([held_out], trained))
+            folds.append((q, d._replace(mu_error_bound=np.maximum(d.mu_error_bound, f.bound))))
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
     quality, diagnostics = zip(*folds)

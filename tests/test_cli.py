@@ -330,7 +330,12 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"n_simulations": 3, "p_min": 2, "p_max": 9}))
         status, out, _ = run_cli(capsys, "sweep", str(cfg), "--out", str(tmp_path / "o.csv"))
         assert status == 0
-        d = json.loads(out)["diagnostics"]
+        report = json.loads(out)
+        assert set(report) == {"config", "argmax_order", "mean_lme", "mean_acc", "mean_com",
+                               "diagnostics", "csv", "stage_s"}
+        assert set(report["stage_s"]) == {"simulate", "fit", "write"}
+        assert all(s >= 0.0 for s in report["stage_s"].values())
+        d = report["diagnostics"]
         assert set(d["evidence_gap"]) == {"max", "order", "column"}
         assert 0.0 <= d["evidence_gap"]["max"] <= 1e-10
         assert 2 <= d["evidence_gap"]["order"] <= 9 and 0 <= d["evidence_gap"]["column"] < 3
@@ -373,7 +378,10 @@ class TestCvStudyCommand:
         status, out, _ = run_cli(capsys, "cv-study", str(cfg), "--out", str(out_csv))
         assert status == 0
         report = json.loads(out)
-        assert "mean_delta_cvlme" in report
+        assert set(report) == {"config", "mean_delta_cvlme", "mean_delta_acc", "mean_delta_com",
+                               "selection_rate_b", "diagnostics", "csv", "stage_s"}
+        assert set(report["stage_s"]) == {"simulate", "fit", "write"}
+        assert all(s >= 0.0 for s in report["stage_s"].values())
         assert len(out_csv.read_text().strip().split("\n")) == 4
         assert set(report["diagnostics"]) == {"a", "b"}
         for d in report["diagnostics"].values():

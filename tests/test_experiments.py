@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngbayes.experiments import (
@@ -16,6 +16,7 @@ from ngbayes.experiments import (
     write_cv_csv,
     write_sweep_csv,
 )
+from ngbayes.experiments import _seed_states, _SeedState, _simulate
 
 
 class TestEquallySpaced:
@@ -91,6 +92,49 @@ class TestSimulatePolynomial:
         y4 = simulate_polynomial(PolySweepConfig(master_seed=11, n_simulations=4))
         assert y2.shape == (100, 2) and y4.shape == (100, 4)
         np.testing.assert_array_equal(y2, y4[:, :2])
+
+
+def simulate_per_stream(X_gen, noise_variance, master_seed, n_replications, n_sessions):
+    """The simulator's streams built one SeedSequence at a time: the reference."""
+    n, k = X_gen.shape
+    y = np.empty((n_sessions, n, n_replications))
+    for rep in range(n_replications):
+        beta_rng, noise_rng = (np.random.default_rng(np.random.SeedSequence(
+            master_seed, spawn_key=(rep, i))) for i in (0, 1))
+        beta = beta_rng.standard_normal(k)
+        z = noise_rng.standard_normal((n_sessions, n))
+        y[:, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
+    return y
+
+
+class TestSeedStreams:
+    @given(seed=st.integers(min_value=0, max_value=2**200),
+           keys=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 1)),
+                         min_size=1, max_size=4))
+    @example(seed=2**32 - 1, keys=[(0, 0)])
+    @example(seed=2**32, keys=[(10**6, 1)])
+    @example(seed=2**128, keys=[(3, 0), (3, 1)])
+    @settings(max_examples=100, deadline=None)
+    def test_state_words_are_numpys(self, seed, keys):
+        states = _seed_states(seed, keys)
+        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+        for key, words in zip(keys, states):
+            seq = np.random.SeedSequence(seed, spawn_key=key)
+            np.testing.assert_array_equal(words, seq.generate_state(4, np.uint64))
+            assert np.random.PCG64(_SeedState(words)).state == np.random.PCG64(seq).state
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64)])
+    def test_seed_state_rejects_other_requests(self, n_words, dtype):
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            _SeedState(_seed_states(0, [(0, 0)])[0]).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4242, 2**32, 2**100 + 3])
+    @pytest.mark.parametrize("n_sessions", [1, 5])
+    @pytest.mark.parametrize("noise_variance", [0.0, 2.0])
+    def test_simulator_streams_unchanged(self, seed, n_sessions, noise_variance):
+        X_gen = build_poly_design(equally_spaced(30), 3)
+        args = (X_gen, noise_variance, seed, 6, n_sessions)
+        assert np.array_equal(_simulate(*args), simulate_per_stream(*args))
 
 
 @pytest.fixture(scope="module")

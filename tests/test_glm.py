@@ -598,6 +598,17 @@ class TestDiagnostics:
         assert np.linalg.norm(fit.posterior.mu) < 1e-10
         assert fit.diagnostics.mu_error_bound[0, 0] <= 1e-13
 
+    def test_cv_bound_covers_training_fit(self, rng):
+        # Each fold reports the larger bound of its two fits; the training fit's is the larger
+        # here, and was dropped when only the held-out fit's was reported.
+        X = rng.standard_normal((12, 3))
+        sessions = [GlmDataset(y=rng.standard_normal((12, 4)), X=X) for _ in range(4)]
+        _, d = cv_model_quality(sessions)
+        for i in range(4):
+            training = [s for j, s in enumerate(sessions) if j != i]
+            own = glm._factor(training, reference_prior(3)).bound[0]
+            assert np.all(d.mu_error_bound[i] >= own)
+
     def test_mu_error_bound_names_order_and_fold(self, monkeypatch, rng):
         monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.0)
         X = rng.standard_normal((8, 2))
