@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import NormalGammaParams
 from .glm import FitDiagnostics, GlmDataset, cv_model_quality, nested_log_model_evidence
@@ -91,7 +90,7 @@ class SweepResult:
     mean_acc: np.ndarray
     mean_com: np.ndarray
     argmax_order: int = field(init=False)
-    diagnostics: FitDiagnostics | None = field(default=None, repr=False, compare=False)
+    diagnostics: FitDiagnostics = field(repr=False, compare=False)
     stage_s: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -236,8 +235,10 @@ def _seed_states(seed: int, keys) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _SeedState(ISeedSequence):
-    """A SeedSequence's precomputed PCG64 seed: answers generate_state(4, np.uint64) only."""
+class _SeedState:
+    """A SeedSequence's precomputed PCG64 seed: answers generate_state(4, np.uint64) only.
+    ``_simulate`` registers it as numpy's ISeedSequence, so importing this module does not
+    load numpy.random."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -260,6 +261,9 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
     each seeds its PCG64; each replication's matrix-vector product stays its
     own, as one product over all replications rounds differently.
     """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedState)
     n, k = X_gen.shape
     keys = np.indices((n_replications, 2), dtype=np.uint32).reshape(2, -1).T  # (r, i), r-major
     states = _seed_states(master_seed, keys).reshape(n_replications, 2, _POOL)

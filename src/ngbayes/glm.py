@@ -10,7 +10,9 @@ stacked factors [U_0; r_1; ...] with right-hand side [U_0 mu_0; c_1; ...],
 where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
 factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
 X^T X is never factored or solved with (it is summed only for Lambda_n's
-displayed entries), and no quadratic form is subtracted.
+displayed entries), and no quadratic form is subtracted. That factor is the
+fit's one record: it decides a_n, the sizes and Lambda_n's displayed entries
+once, and every later step reads them there.
 The leading k columns of a QR factor are the factor of the leading k
 columns, so nested designs (the first k columns, for several k) are all
 read from one factor, their log-determinants, traces and residuals as
@@ -23,8 +25,9 @@ column. One response (n,) is the same code at R = 1.
 
 The log model evidence is computed twice: once as accuracy minus
 complexity and once from the ratio of prior to posterior normalization
-constants. Disagreement between the two paths is treated as an internal
-error; the redundancy is the main correctness harness of this module.
+constants, a function of their shapes, rates and log-determinants alone.
+Disagreement between the two paths is treated as an internal error; the
+redundancy is the main correctness harness of this module.
 Each fit reports how close it came: the gap between the paths and the
 residual of the trace identity tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) = k.
 Any X is accepted, as an SPD Lambda_0 makes Lambda_n SPD; each fit bounds the
@@ -166,8 +169,8 @@ class GlmFit:
 
 
 class _Factor(NamedTuple):
-    """Thin QR a = Q r of stacked factors, with right-hand side b (a column per response),
-    and the fits it was solved for, on the first k columns for each k in its sizes (row s)."""
+    """A fit's one record: thin QR a = Q r of stacked factors, right-hand side b (a column per
+    response), and the fits it was solved for, on the first k columns for each k in sizes."""
 
     a: np.ndarray  # [U_0; r_1; ...; r_S]
     b: np.ndarray  # [U_0 mu_0; c_1; ...; c_S]
@@ -175,8 +178,11 @@ class _Factor(NamedTuple):
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
     c: np.ndarray  # Q^T b
     e_rows: float | np.ndarray  # the sessions' own residuals, sum of their e
+    entries: np.ndarray  # Lambda_0 + sum X^T X: Lambda_n's displayed entries
     batch: tuple  # response shape of the fit: () or (R,)
+    sizes: np.ndarray  # (S,): row s's k
     lead: np.ndarray  # (S, k): column j enters size s
+    a_n: float
     mu_n: np.ndarray  # (S, k, R)
     b_n: np.ndarray  # (S, R)
     bound: np.ndarray  # (S, R): mu_n's error bound
@@ -188,14 +194,15 @@ def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -
     once and solve for the fits on the first k columns, k in ``sizes`` (default all). With
     W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) bounds
     ||mu_n - exact|| (Higham, Accuracy and Stability of Numerical Algorithms, 20.1); the bound
-    is that over max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). A failed check names where[s]."""
-    k = prior.dim
-    if any(s.p != k or s.c.shape[1:] != sessions[0].c.shape[1:] for s in sessions):
-        raise ValueError(
-            f"prior dimension {k} does not match design columns "
-            f"{[s.p for s in sessions]}, or response counts {[s.c.shape[1:] for s in sessions]} differ"
-        )
-    batch = np.broadcast_shapes(sessions[0].c.shape[1:], np.shape(prior.rate))
+    is that over max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). A failed check names where[s].
+    The sessions share one response count; a batched prior's must match it unless either is 1."""
+    k, response, batch = prior.dim, sessions[0].c.shape[1:], np.shape(prior.rate)
+    if (any(s.p != k or s.c.shape[1:] != response for s in sessions)
+            or len({response, batch} - {(), (1,)}) > 1):
+        raise ValueError(f"prior dimension {k} and response count {batch} do not match design "
+                         f"columns {[s.p for s in sessions]} and response counts "
+                         f"{[s.c.shape[1:] for s in sessions]}")
+    batch = np.broadcast_shapes(response, batch)
     width = math.prod(batch)
     u_0 = prior.lam.chol.T
     blocks = [(u_0, u_0 @ prior.mu.reshape(k, -1))] + [(s.r, s.c) for s in sessions]
@@ -212,6 +219,7 @@ def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -
     w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (w, r))
     mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
     a_n = prior.shape + 0.5 * sum(s.n for s in sessions)
+    entries = prior.lam.entries + sum(s.xtx for s in sessions)
     bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
              / np.maximum(mu_norm, np.sqrt(b_n / (a_n * r2))))
     ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
@@ -222,7 +230,7 @@ def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -
         raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
                                        f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
                                        f"(at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, c, e_rows, batch, lead, mu_n, b_n, bound)
+    return _Factor(a, b, r, w, c, e_rows, entries, batch, sizes, lead, a_n, mu_n, b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -232,17 +240,13 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
     stacked under the prior's. The prior may be a batch of R.
     """
     parts = [data] if isinstance(data, GlmDataset) else list(data)
-    return _posterior(_factor(parts, prior), prior, parts)
+    return _posterior(_factor(parts, prior))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _posterior(f: _Factor, prior: NormalGammaParams, parts: list) -> NormalGammaParams:
-    """The posterior the factor was solved for. Lambda_n's entries, Lambda_0 + sum X^T X,
-    are kept exact for display and comparison; every computation reads its factor R_n."""
+def _posterior(f: _Factor) -> NormalGammaParams:
+    """The posterior the factor was solved for: Lambda_n's exact entries over its factor R_n."""
     return NormalGammaParams(mu=f.mu_n[0].reshape(f.mu_n.shape[1:2] + f.batch),
-                             lam=SpdMatrix.from_factor(
-                                 prior.lam.entries + sum(s.xtx for s in parts), f.r),
-                             shape=prior.shape + 0.5 * sum(s.n for s in parts),
+                             lam=SpdMatrix.from_factor(f.entries, f.r), shape=f.a_n,
                              rate=f.b_n[0].reshape(f.batch))
 
 
@@ -254,11 +258,10 @@ def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
 def _accuracy_form(data: GlmDataset, a_n, b_n, rss, trace):
     """Expected log-likelihood from <tau> = a_n / b_n, <ln tau> = psi(a_n) - ln b_n,
     the residual sum of squares at mu_n and tr(Lambda_n^-1 X^T X)."""
-    n = data.n
     return (
         0.5 * data.logdet_P
-        - 0.5 * n * _LN_2PI
-        + 0.5 * n * (digamma(a_n) - np.log(b_n))
+        - 0.5 * data.n * _LN_2PI
+        + 0.5 * data.n * (digamma(a_n) - np.log(b_n))
         - 0.5 * ((a_n / b_n) * rss + trace)
     )
 
@@ -282,31 +285,24 @@ def accuracy(data: GlmDataset, posterior: NormalGammaParams):
                           rss.reshape(np.shape(posterior.rate)), trace)
 
 
-class _Normalizer(NamedTuple):
-    """Shape, rate and ln|Lambda| of normal-gammas, a row per model and a column per response."""
-
-    shape: float
-    rate: np.ndarray
-    logdet: np.ndarray
-
-
-def _direct_lme(data: GlmDataset, prior, posterior):
-    """Evidence from the ratio of prior to posterior normalizers.
-
-    ``prior`` and ``posterior`` are NormalGammaParams or _Normalizers.
-    """
-    logdet_0, logdet_n = (p.logdet if isinstance(p, _Normalizer) else logdet_spd(p.lam)
-                          for p in (prior, posterior))
-    n = data.n
+def _direct_form(data: GlmDataset, a_0, b_0, logdet_0, a_n, b_n, logdet_n):
+    """Evidence from the ratio of prior to posterior normalizers: their shapes a, rates b
+    and ln|Lambda|, a row per model and a column per response."""
     return (
-        -0.5 * n * _LN_2PI
+        -0.5 * data.n * _LN_2PI
         + 0.5 * data.logdet_P
         + 0.5 * (logdet_0 - logdet_n)
-        + prior.shape * np.log(prior.rate)
-        - posterior.shape * np.log(posterior.rate)
-        + log_gamma(posterior.shape)
-        - log_gamma(prior.shape)
+        + a_0 * np.log(b_0)
+        - a_n * np.log(b_n)
+        + log_gamma(a_n)
+        - log_gamma(a_0)
     )
+
+
+def _direct_lme(data: GlmDataset, prior: NormalGammaParams, posterior: NormalGammaParams):
+    """The direct evidence form of a prior and its posterior."""
+    return _direct_form(data, prior.shape, prior.rate, logdet_spd(prior.lam),
+                        posterior.shape, posterior.rate, logdet_spd(posterior.lam))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -318,8 +314,7 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, where=("",
     past that size. The factor's columns enter each size through the mask, so
     every term is a prefix sum. A failed check names where[s] and the column.
     """
-    k, lead, b_n = prior.dim, f.lead, f.b_n
-    sizes = lead.sum(axis=1)
+    k, lead, sizes, a_n, b_n = prior.dim, f.lead, f.sizes, f.a_n, f.b_n
     g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
     resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
     resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
@@ -328,14 +323,12 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, where=("",
     trace_0, trace_x = (lead @ np.sum(part ** 2, axis=0) for part in (g[:k], g[k:]))
     logdet_0, logdet_n = (2.0 * lead @ np.log(np.abs(np.diag(m)))[:, None]
                           for m in (prior.lam.chol, f.r))
-    a_n = prior.shape + 0.5 * data.n
     acc = _accuracy_form(data, a_n, b_n, rss, trace_x[:, None])
     com = _clamp(_normal_kl_form(quad, trace_0[:, None], logdet_0 - logdet_n, sizes[:, None],
                                  a_n / b_n)
                  + kl_gamma(GammaParams(a_n, b_n), prior.gamma))
     lme = acc - com
-    direct = _direct_lme(data, _Normalizer(prior.shape, prior.rate, logdet_0),
-                         _Normalizer(a_n, b_n, logdet_n))
+    direct = _direct_form(data, prior.shape, prior.rate, logdet_0, a_n, b_n, logdet_n)
     gap = np.abs(lme - direct)
     ok = gap <= EVIDENCE_CONSISTENCY_TOL
     if not np.all(ok):
@@ -358,11 +351,10 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     The diagnostics hold one row, the fit's.
     """
     f = _factor([data], prior)
-    posterior = _posterior(f, prior, [data])
+    posterior = _posterior(f)
     q, diagnostics = _evidence(data, prior, f)
     one = (np.reshape(v[0], f.batch)[()] for v in (q.lme, q.accuracy, q.complexity))
-    return GlmFit(prior=prior, posterior=posterior, quality=ModelQuality(*one),
-                  diagnostics=diagnostics)
+    return GlmFit(prior, posterior, ModelQuality(*one), diagnostics)
 
 
 def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders):
@@ -407,22 +399,20 @@ def cv_model_quality(sessions):
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ValueError("cross-validated evidence requires at least 2 sessions")
-    p, batch = sessions[0].p, sessions[0].c.shape[1:]
-    if any(s.p != p or s.c.shape[1:] != batch for s in sessions):
-        raise ValueError("all sessions must share the same design columns and response count")
-    prior = reference_prior(p)
+    prior = reference_prior(sessions[0].p)
     folds = []  # (ModelQuality, FitDiagnostics) per fold
     for i, held_out in enumerate(sessions):
         try:
             training = [s for j, s in enumerate(sessions) if j != i]
             f = _factor(training, prior)
-            trained = _posterior(f, prior, training)
-            q, d = _evidence(held_out, trained, _factor([held_out], trained))
+            trained = _posterior(f)
+            g = _factor([held_out], trained)
+            q, d = _evidence(held_out, trained, g)
             folds.append((q, d._replace(mu_error_bound=np.maximum(d.mu_error_bound, f.bound))))
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
     quality, diagnostics = zip(*folds)
-    acc, com = (np.reshape(sum(getattr(q, name)[0] for q in quality), batch)[()]
+    acc, com = (np.reshape(sum(getattr(q, name)[0] for q in quality), g.batch)[()]
                 for name in ("accuracy", "complexity"))
     return (ModelQuality(lme=acc - com, accuracy=acc, complexity=com),
             FitDiagnostics(*map(np.concatenate, zip(*diagnostics))))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from ngbayes.experiments import (
     CvStudyConfig,
@@ -17,6 +18,16 @@ from ngbayes.experiments import (
     write_sweep_csv,
 )
 from ngbayes.experiments import _seed_states, _SeedState, _simulate
+from ngbayes.glm import FitDiagnostics
+
+# _simulate registers the shim on first use; tests that build one directly must not depend on
+# some earlier test having simulated.
+ISeedSequence.register(_SeedState)
+
+
+def no_margins(m):
+    """Check margins of m orders of one response, all zero."""
+    return FitDiagnostics(np.zeros((m, 1)), np.zeros(m), np.zeros((m, 1)))
 
 
 class TestEquallySpaced:
@@ -193,11 +204,13 @@ class TestSweepResult:
     def test_inconsistent_means_rejected(self):
         with pytest.raises(ValueError):
             SweepResult(orders=np.array([0]), mean_lme=np.array([1.0]),
-                        mean_acc=np.array([0.0]), mean_com=np.array([0.0]))
+                        mean_acc=np.array([0.0]), mean_com=np.array([0.0]),
+                        diagnostics=no_margins(1))
 
     def test_tie_breaks_to_smaller_order(self):
         r = SweepResult(orders=np.array([0, 1]), mean_lme=np.array([2.0, 2.0]),
-                        mean_acc=np.array([2.0, 2.0]), mean_com=np.array([0.0, 0.0]))
+                        mean_acc=np.array([2.0, 2.0]), mean_com=np.array([0.0, 0.0]),
+                        diagnostics=no_margins(2))
         assert r.argmax_order == 0
 
 
@@ -238,7 +251,8 @@ class TestCsvOutput:
 
     def test_empty_result_writes_header_only(self, tmp_path):
         empty = SweepResult(orders=np.array([], dtype=int), mean_lme=np.array([]),
-                            mean_acc=np.array([]), mean_com=np.array([]))
+                            mean_acc=np.array([]), mean_com=np.array([]),
+                            diagnostics=no_margins(0))
         path = tmp_path / "empty.csv"
         write_sweep_csv(empty, path)
         assert path.read_text() == "order,mean_lme,mean_acc,mean_com\n"
@@ -253,7 +267,8 @@ class TestCsvOutput:
 
     def test_unwritable_path_reports_path(self):
         result = SweepResult(orders=np.array([], dtype=int), mean_lme=np.array([]),
-                             mean_acc=np.array([]), mean_com=np.array([]))
+                             mean_acc=np.array([]), mean_com=np.array([]),
+                             diagnostics=no_margins(0))
         with pytest.raises(OSError, match="no/such"):
             write_sweep_csv(result, "/no/such/dir/out.csv")
 

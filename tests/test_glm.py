@@ -442,6 +442,24 @@ class TestResponseMatrix:
             single = log_model_evidence(GlmDataset(y=Y[:, r], X=X), unit_prior(3))
             assert fit.quality.lme[r] == pytest.approx(single.quality.lme, rel=1e-12)
 
+    def test_single_response_broadcasts_over_prior_batch(self, rng):
+        X, y = rng.standard_normal((8, 2)), rng.standard_normal(8)
+        prior = NormalGammaParams(mu=rng.standard_normal((2, 3)), lam=random_spd(rng, 2),
+                                  shape=1.5, rate=rng.uniform(0.5, 3.0, 3))
+        fit = log_model_evidence(GlmDataset(y=y, X=X), prior)
+        assert fit.quality.lme.shape == (3,)
+        for r in range(3):
+            single = log_model_evidence(GlmDataset(y=y, X=X), column_prior(prior, r)).quality
+            scale = max(1.0, abs(single.accuracy), abs(single.complexity))
+            assert_columns_match(fit.quality.lme[r], single.lme, scale)
+
+    def test_prior_batch_must_match_response_count(self, rng):
+        prior = NormalGammaParams(mu=np.zeros((2, 3)), lam=SpdMatrix.identity(2), shape=1.0,
+                                  rate=np.ones(3))
+        data = GlmDataset(y=rng.standard_normal((8, 4)), X=rng.standard_normal((8, 2)))
+        with pytest.raises(ValueError, match=r"response count \(3,\).*response counts \[\(4,\)\]"):
+            log_model_evidence(data, prior)
+
     def test_training_posterior_matches_stacked_rows(self, rng):
         # Unequal n and a per-session AR(1) noise precision.
         p, R = 3, 4
@@ -500,14 +518,14 @@ class TestResponseMatrix:
             fit_posterior(GlmDataset(y=Y, X=X), unit_prior(1))
 
     def test_forced_evidence_failure_names_column(self, rng, monkeypatch):
-        direct = glm._direct_lme
+        direct = glm._direct_form
 
-        def off_in_column_2(data, prior, posterior):
-            value = np.array(direct(data, prior, posterior), dtype=float)
+        def off_in_column_2(*terms):
+            value = np.array(direct(*terms), dtype=float)
             value[..., 2] += 1.0
             return value
 
-        monkeypatch.setattr(glm, "_direct_lme", off_in_column_2)
+        monkeypatch.setattr(glm, "_direct_form", off_in_column_2)
         X = rng.standard_normal((8, 2))
         with pytest.raises(EvidenceConsistencyError, match="column 2"):
             log_model_evidence(GlmDataset(y=rng.standard_normal((8, 4)), X=X), unit_prior(2))
