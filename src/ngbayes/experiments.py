@@ -91,7 +91,7 @@ class SweepResult:
     mean_com: np.ndarray
     argmax_order: int = field(init=False)
     diagnostics: FitDiagnostics = field(repr=False, compare=False)
-    stage_s: dict = field(default_factory=dict, repr=False, compare=False)
+    stage_s: dict = field(repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.orders) and np.max(
@@ -140,7 +140,7 @@ class CvStudyResult:
     com_a: np.ndarray
     com_b: np.ndarray
     diagnostics: dict = field(repr=False, compare=False)
-    stage_s: dict = field(default_factory=dict, repr=False, compare=False)
+    stage_s: dict = field(repr=False, compare=False)
 
     @property
     def n_replications(self) -> int:

@@ -11,8 +11,8 @@ where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
 factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
 X^T X is never factored or solved with (it is summed only for Lambda_n's
 displayed entries), and no quadratic form is subtracted. That factor is the
-fit's one record: it decides a_n, the sizes and Lambda_n's displayed entries
-once, and every later step reads them there.
+fit's one record: it decides a_n, the sizes, the response batch and Lambda_n's
+displayed entries once, and every later step reads them there.
 The leading k columns of a QR factor are the factor of the leading k
 columns, so nested designs (the first k columns, for several k) are all
 read from one factor, their log-determinants, traces and residuals as
@@ -21,7 +21,8 @@ prefix sums; a single fit is the one-size case of the same code.
 The closed forms also take R responses (n, R) that share one design,
 which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
 evidence (R,) hold one column per response, and every check runs per
-column. One response (n,) is the same code at R = 1.
+column. The prior's and every session's response counts broadcast, so one
+response (n,), like one prior, joins every column; alone it is R = 1.
 
 The log model evidence is computed twice: once as accuracy minus
 complexity and once from the ratio of prior to posterior normalization
@@ -177,7 +178,6 @@ class _Factor(NamedTuple):
     r: np.ndarray  # r^T r = Lambda_n
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
     c: np.ndarray  # Q^T b
-    e_rows: float | np.ndarray  # the sessions' own residuals, sum of their e
     entries: np.ndarray  # Lambda_0 + sum X^T X: Lambda_n's displayed entries
     batch: tuple  # response shape of the fit: () or (R,)
     sizes: np.ndarray  # (S,): row s's k
@@ -195,26 +195,24 @@ def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -
     W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) bounds
     ||mu_n - exact|| (Higham, Accuracy and Stability of Numerical Algorithms, 20.1); the bound
     is that over max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). A failed check names where[s].
-    The sessions share one response count; a batched prior's must match it unless either is 1."""
-    k, response, batch = prior.dim, sessions[0].c.shape[1:], np.shape(prior.rate)
-    if (any(s.p != k or s.c.shape[1:] != response for s in sessions)
-            or len({response, batch} - {(), (1,)}) > 1):
-        raise ValueError(f"prior dimension {k} and response count {batch} do not match design "
-                         f"columns {[s.p for s in sessions]} and response counts "
-                         f"{[s.c.shape[1:] for s in sessions]}")
-    batch = np.broadcast_shapes(response, batch)
+    Response counts broadcast: one response or prior, () or (1,), joins every column."""
+    k, counts = prior.dim, [np.shape(prior.rate)] + [s.c.shape[1:] for s in sessions]
+    if any(s.p != k for s in sessions) or len(set(counts) - {(), (1,)}) > 1:
+        raise ValueError(f"prior dimension {k} and response count {counts[0]} do not match design "
+                         f"columns {[s.p for s in sessions]} and response counts {counts[1:]}")
+    batch = np.broadcast_shapes(*counts)
     width = math.prod(batch)
     u_0 = prior.lam.chol.T
     blocks = [(u_0, u_0 @ prior.mu.reshape(k, -1))] + [(s.r, s.c) for s in sessions]
     a = np.vstack([m for m, _ in blocks])
     b = np.vstack([np.broadcast_to(v.reshape(len(v), -1), (len(v), width)) for _, v in blocks])
     q, r = np.linalg.qr(a)
-    w, c, e_rows = np.linalg.inv(r), q.T @ b, sum(s.e for s in sessions)
+    w, c, e = np.linalg.inv(r), q.T @ b, sum(s.e for s in sessions)
     sizes = np.array([k]) if sizes is None else sizes
     lead = np.arange(k) < sizes[:, None]
     mu_n = (w * lead[:, None, :]) @ c
     # 2 (b_n - b_0): the sessions' and the stack's residuals, and Q^T b past each size
-    resid = e_rows + np.sum((b - q @ c) ** 2, axis=0) + ~lead @ c ** 2
+    resid = e + np.sum((b - q @ c) ** 2, axis=0) + ~lead @ c ** 2
     b_n = prior.rate + 0.5 * resid
     w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (w, r))
     mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
@@ -230,7 +228,7 @@ def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -
         raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
                                        f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
                                        f"(at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, c, e_rows, entries, batch, sizes, lead, a_n, mu_n, b_n, bound)
+    return _Factor(a, b, r, w, c, entries, batch, sizes, lead, a_n, mu_n, b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -306,20 +304,21 @@ def _direct_lme(data: GlmDataset, prior: NormalGammaParams, posterior: NormalGam
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, where=("",)):
-    """Quality and diagnostics of the fits the factor was solved for.
+def _evidence(data: GlmDataset, prior: NormalGammaParams, sizes=None, where=("",)):
+    """Factor one dataset under the prior and return (factor, quality, diagnostics).
 
-    Row s of every result belongs to the size that row s of the mask ``f.lead``
-    takes; its prior is the leading block of ``prior``, exact when mu_0 is zero
-    past that size. The factor's columns enter each size through the mask, so
-    every term is a prefix sum. A failed check names where[s] and the column.
+    Row s of every result is the fit on the first sizes[s] columns (default all), whose
+    prior is the leading block of ``prior`` (exact when mu_0 is zero past it); every term is
+    a prefix sum over the mask ``f.lead``. Quality rows take the factor's response shape,
+    diagnostics a column per response. A failed check names where[s] and the column.
     """
+    f = _factor([data], prior, sizes, where)
     k, lead, sizes, a_n, b_n = prior.dim, f.lead, f.sizes, f.a_n, f.b_n
     g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
     resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
     resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
     quad = np.einsum("isr,isr->sr", resid[:k], resid[:k])  # ||U_0 (mu_n - mu_0)||^2
-    rss = f.e_rows + np.einsum("isr,isr->sr", resid[k:], resid[k:])  # ||y - X mu_n||^2
+    rss = data.e + np.einsum("isr,isr->sr", resid[k:], resid[k:])  # ||y - X mu_n||^2
     trace_0, trace_x = (lead @ np.sum(part ** 2, axis=0) for part in (g[:k], g[k:]))
     logdet_0, logdet_n = (2.0 * lead @ np.log(np.abs(np.diag(m)))[:, None]
                           for m in (prior.lam.chol, f.r))
@@ -337,7 +336,8 @@ def _evidence(data: GlmDataset, prior: NormalGammaParams, f: _Factor, where=("",
             f"{where[s]}column {j}: decomposition LME {lme[s, j]} vs direct LME "
             f"{direct[s, j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
         )
-    return (ModelQuality(lme=lme, accuracy=acc, complexity=com),
+    shape = (len(sizes),) + f.batch
+    return (f, ModelQuality(*(np.reshape(v, shape) for v in (lme, acc, com))),
             FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes,
                            mu_error_bound=f.bound))
 
@@ -350,11 +350,9 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     EVIDENCE_CONSISTENCY_TOL raises EvidenceConsistencyError naming the column.
     The diagnostics hold one row, the fit's.
     """
-    f = _factor([data], prior)
-    posterior = _posterior(f)
-    q, diagnostics = _evidence(data, prior, f)
-    one = (np.reshape(v[0], f.batch)[()] for v in (q.lme, q.accuracy, q.complexity))
-    return GlmFit(prior, posterior, ModelQuality(*one), diagnostics)
+    f, q, diagnostics = _evidence(data, prior)
+    return GlmFit(prior, _posterior(f), ModelQuality(q.lme[0], q.accuracy[0], q.complexity[0]),
+                  diagnostics)
 
 
 def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders):
@@ -363,14 +361,14 @@ def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders
     One factor of the full design serves every order: its leading p + 1
     columns are the factor of the order-p design under the prior's leading
     block, which is that order's prior because mu_0 must be zero. Returns a
-    ModelQuality and FitDiagnostics with a row per order; a failed check
-    names the order and the column.
+    ModelQuality and FitDiagnostics with a row per order, the quality's in the
+    response shape of ``data``; a failed check names the order and the column.
     """
     orders = np.asarray(orders)
     if np.any(prior.mu != 0.0) or np.any((orders < 0) | (orders >= data.p)):
         raise ValueError(f"nested fits need a zero prior mean and orders in [0, {data.p - 1}]")
     where = [f"fit failed at order {p}: " for p in orders]
-    return _evidence(data, prior, _factor([data], prior, orders + 1, where), where)
+    return _evidence(data, prior, orders + 1, where)[1:]
 
 
 def reference_prior(p: int) -> NormalGammaParams:
@@ -403,16 +401,12 @@ def cv_model_quality(sessions):
     folds = []  # (ModelQuality, FitDiagnostics) per fold
     for i, held_out in enumerate(sessions):
         try:
-            training = [s for j, s in enumerate(sessions) if j != i]
-            f = _factor(training, prior)
-            trained = _posterior(f)
-            g = _factor([held_out], trained)
-            q, d = _evidence(held_out, trained, g)
+            f = _factor([s for j, s in enumerate(sessions) if j != i], prior)
+            _, q, d = _evidence(held_out, _posterior(f))
             folds.append((q, d._replace(mu_error_bound=np.maximum(d.mu_error_bound, f.bound))))
         except ArithmeticError as exc:
             raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
     quality, diagnostics = zip(*folds)
-    acc, com = (np.reshape(sum(getattr(q, name)[0] for q in quality), g.batch)[()]
-                for name in ("accuracy", "complexity"))
+    acc, com = (sum(getattr(q, name)[0] for q in quality) for name in ("accuracy", "complexity"))
     return (ModelQuality(lme=acc - com, accuracy=acc, complexity=com),
             FitDiagnostics(*map(np.concatenate, zip(*diagnostics))))

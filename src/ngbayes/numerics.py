@@ -155,6 +155,7 @@ def logdet_spd(a: SpdMatrix) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(a.chol))))
 
 
+# No module of the package calls this; it stays because perfbench/tracing.py wraps it by name.
 def spd_solve(a: SpdMatrix, b: np.ndarray) -> np.ndarray:
     """Solve A @ X = B via the cached Cholesky factor."""
     b = np.asarray(b, dtype=float)

@@ -205,12 +205,12 @@ class TestSweepResult:
         with pytest.raises(ValueError):
             SweepResult(orders=np.array([0]), mean_lme=np.array([1.0]),
                         mean_acc=np.array([0.0]), mean_com=np.array([0.0]),
-                        diagnostics=no_margins(1))
+                        diagnostics=no_margins(1), stage_s={})
 
     def test_tie_breaks_to_smaller_order(self):
         r = SweepResult(orders=np.array([0, 1]), mean_lme=np.array([2.0, 2.0]),
                         mean_acc=np.array([2.0, 2.0]), mean_com=np.array([0.0, 0.0]),
-                        diagnostics=no_margins(2))
+                        diagnostics=no_margins(2), stage_s={})
         assert r.argmax_order == 0
 
 
@@ -252,7 +252,7 @@ class TestCsvOutput:
     def test_empty_result_writes_header_only(self, tmp_path):
         empty = SweepResult(orders=np.array([], dtype=int), mean_lme=np.array([]),
                             mean_acc=np.array([]), mean_com=np.array([]),
-                            diagnostics=no_margins(0))
+                            diagnostics=no_margins(0), stage_s={})
         path = tmp_path / "empty.csv"
         write_sweep_csv(empty, path)
         assert path.read_text() == "order,mean_lme,mean_acc,mean_com\n"
@@ -268,7 +268,7 @@ class TestCsvOutput:
     def test_unwritable_path_reports_path(self):
         result = SweepResult(orders=np.array([], dtype=int), mean_lme=np.array([]),
                              mean_acc=np.array([]), mean_com=np.array([]),
-                             diagnostics=no_margins(0))
+                             diagnostics=no_margins(0), stage_s={})
         with pytest.raises(OSError, match="no/such"):
             write_sweep_csv(result, "/no/such/dir/out.csv")
 

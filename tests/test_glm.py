@@ -496,6 +496,53 @@ class TestResponseMatrix:
             assert_columns_match(got.accuracy[r], single.accuracy, scale)
             assert_columns_match(got.complexity[r], single.complexity, scale)
 
+    @pytest.mark.parametrize("names", ["aba", "ab", "ba"])
+    def test_single_response_session_joins_every_column(self, rng, names):
+        # a holds 3 responses, b one: column r of the mix is the cv with a[:, r] in a's place.
+        Xa, Xb = rng.standard_normal((9, 2)), rng.standard_normal((7, 2))
+        Ya, yb = rng.standard_normal((9, 3)), rng.standard_normal(7)
+
+        def sessions(y_a):
+            return [GlmDataset(y=y_a, X=Xa) if n == "a" else GlmDataset(y=yb, X=Xb)
+                    for n in names]
+
+        got, diagnostics = cv_model_quality(sessions(Ya))
+        assert got.lme.shape == (3,)
+        assert diagnostics.evidence_gap.shape == (len(names), 3)
+        for r in range(3):
+            single, _ = cv_model_quality(sessions(Ya[:, r]))
+            scale = max(1.0, abs(single.accuracy), abs(single.complexity))
+            assert_columns_match(got.lme[r], single.lme, scale)
+            assert_columns_match(got.accuracy[r], single.accuracy, scale)
+            assert_columns_match(got.complexity[r], single.complexity, scale)
+
+    def test_single_response_session_joins_posterior_columns(self, rng):
+        Xa, Xb = rng.standard_normal((9, 2)), rng.standard_normal((7, 2))
+        Ya, yb = rng.standard_normal((9, 3)), rng.standard_normal(7)
+        prior = unit_prior(2)
+        got = fit_posterior([GlmDataset(y=Ya, X=Xa), GlmDataset(y=yb, X=Xb)], prior)
+        assert got.mu.shape == (2, 3) and got.rate.shape == (3,)
+        for r in range(3):
+            single = fit_posterior([GlmDataset(y=Ya[:, r], X=Xa), GlmDataset(y=yb, X=Xb)],
+                                   prior)
+            assert_columns_match(got.mu[:, r], single.mu, np.max(np.abs(single.mu)))
+            np.testing.assert_array_equal(got.lam.entries, single.lam.entries)
+            assert got.shape == single.shape
+            assert_columns_match(got.rate[r], single.rate, single.rate)
+
+    def test_nested_single_response_keeps_its_shape(self, rng):
+        X, y = build_poly_design(np.linspace(-1.0, 1.0, 12), 3), rng.standard_normal(12)
+        q, diagnostics = nested_log_model_evidence(GlmDataset(y=y, X=X), unit_prior(4),
+                                                   np.arange(4))
+        column, column_diagnostics = nested_log_model_evidence(
+            GlmDataset(y=y[:, None], X=X), unit_prior(4), np.arange(4))
+        for name in ("lme", "accuracy", "complexity"):
+            assert getattr(q, name).shape == (4,)
+            np.testing.assert_array_equal(getattr(q, name), getattr(column, name)[:, 0])
+        assert diagnostics.evidence_gap.shape == diagnostics.mu_error_bound.shape == (4, 1)
+        for got, want in zip(diagnostics, column_diagnostics):
+            np.testing.assert_array_equal(got, want)
+
     def test_sessions_must_agree_on_response_count(self, rng):
         X = rng.standard_normal((6, 2))
         sessions = [GlmDataset(y=rng.standard_normal((6, 3)), X=X),
