@@ -38,9 +38,9 @@ _BLOCK = 1 << 14  # rows per block of the normal kernels: a block's temporaries 
 
 @dataclass(frozen=True)
 class GammaParams:
-    """Shape/rate of a univariate gamma; an (R,) rate is a batch of R (KL only)."""
+    """Shape/rate of a univariate gamma; array shapes and rates broadcast to a batch (KL only)."""
 
-    shape: float
+    shape: float | np.ndarray
     rate: float | np.ndarray
 
     def __post_init__(self):
@@ -48,15 +48,11 @@ class GammaParams:
             shape, rate = np.array(self.shape, dtype=float), np.array(self.rate, dtype=float)
         except TypeError as exc:
             raise ValueError(f"gamma shape and rate must be numbers: {exc}") from None
-        if shape.ndim:
-            raise ValueError(f"gamma shape must be a single number, got {self.shape!r}")
-        shape = float(shape)
         for name, v in (("shape", shape), ("rate", rate)):
             if not np.all(np.isfinite(v) & (v > 0.0)):
                 raise ValueError(f"gamma {name} must be finite and positive, got {v}")
-        rate.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rate", rate if rate.ndim else float(rate))
+            v.setflags(write=False)
+            object.__setattr__(self, name, v if v.ndim else float(v))
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,8 @@ class NormalGammaParams:
             raise ValueError(
                 f"mu length {mu.shape[0]} does not match lambda dimension {self.lam.dim}"
             )
+        if np.ndim(self.shape):
+            raise ValueError(f"gamma shape must be a single number, got {self.shape!r}")
         # GammaParams validates shape/rate and is kept as the scale's distribution.
         g = GammaParams(self.shape, self.rate)
         if mu.shape[1:] != np.shape(g.rate):

@@ -17,6 +17,14 @@ The leading k columns of a QR factor are the factor of the leading k
 columns, so nested designs (the first k columns, for several k) are all
 read from one factor, their log-determinants, traces and residuals as
 prefix sums; a single fit is the one-size case of the same code.
+Fits also stack along a leading fold axis, one QR and one inverse for
+every fold, so a single fit is equally the one-fold case. A factor is the
+next fit's prior: its R_n with rows sign-fixed is the next U_0, that times
+mu_n the next U_0 mu_0, and a_n, b_n and Lambda_n's entries carry over, so
+the leave-one-session-out cross-validation is two stacked fits, every
+fold's training fit and then every fold's held-out fit. Every fold's training fit
+is checked before any held-out fit, and a failed check of mu_n, b_n or
+the evidence gap names the lowest failing fold and its column.
 
 The closed forms also take R responses (n, R) that share one design,
 which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
@@ -170,65 +178,96 @@ class GlmFit:
 
 
 class _Factor(NamedTuple):
-    """A fit's one record: thin QR a = Q r of stacked factors, right-hand side b (a column per
-    response), and the fits it was solved for, on the first k columns for each k in sizes."""
+    """A fit's one record, a row per fold: thin QR a = Q r of stacked factors, right-hand side
+    b (a column per response), and the fits it was solved for, on the first k columns for each
+    k in sizes. Solved for one size, it is also the next fit's prior (see ``_factor``)."""
 
-    a: np.ndarray  # [U_0; r_1; ...; r_S]
-    b: np.ndarray  # [U_0 mu_0; c_1; ...; c_S]
-    r: np.ndarray  # r^T r = Lambda_n
+    a: np.ndarray  # (F, rows, k): [U_0; r_1; ...; r_S], each r zero-padded to k rows
+    b: np.ndarray  # (F, rows, W): [U_0 mu_0; c_1; ...; c_S], padded the same way
+    r: np.ndarray  # (F, k, k): r^T r = Lambda_n
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
-    c: np.ndarray  # Q^T b
-    entries: np.ndarray  # Lambda_0 + sum X^T X: Lambda_n's displayed entries
+    c: np.ndarray  # (F, k, W): Q^T b
+    entries: np.ndarray  # (F, k, k): Lambda_0 + sum X^T X, Lambda_n's displayed entries
     batch: tuple  # response shape of the fit: () or (R,)
     sizes: np.ndarray  # (S,): row s's k
     lead: np.ndarray  # (S, k): column j enters size s
-    a_n: float
-    mu_n: np.ndarray  # (S, k, R)
-    b_n: np.ndarray  # (S, R)
-    bound: np.ndarray  # (S, R): mu_n's error bound
+    n: np.ndarray  # (F, 1, 1): the sessions' rows
+    e: np.ndarray  # (F, 1, W): the sessions' residuals ||y - Q c||^2
+    gamma_0: GammaParams  # the prior's shape and rate, broadcasting to (F, 1, 1) and (F, 1, W)
+    a_n: np.ndarray  # (F, 1, 1)
+    mu_n: np.ndarray  # (F, S, k, W)
+    b_n: np.ndarray  # (F, S, W)
+    bound: np.ndarray  # (F, S, W): mu_n's error bound
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _factor(sessions: list, prior: NormalGammaParams, sizes=None, where=("",)) -> _Factor:
-    """Stack the prior's factor U_0 = L_0^T (Lambda_0 = L_0 L_0^T) over the sessions', factor
-    once and solve for the fits on the first k columns, k in ``sizes`` (default all). With
-    W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) bounds
-    ||mu_n - exact|| (Higham, Accuracy and Stability of Numerical Algorithms, 20.1); the bound
-    is that over max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). A failed check names where[s].
+def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Factor:
+    """Fit every fold under the prior, row f of ``folds`` indexing the sessions fold f stacks
+    (default one fold of all); a single fit is the one-fold case. Fold f stacks its prior's U_0
+    (Lambda_0 = U_0^T U_0) over its sessions' r, each zero-padded to k rows so that one stacked
+    QR and one inverse serve every fold, and is solved for the fits on the first k columns,
+    k in ``sizes`` (default all). The prior is one NormalGammaParams for every fold, or a
+    factor solved for one size: a factor is the next fit's prior, its R_n with rows sign-fixed
+    to a positive diagonal the next U_0. With W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| +
+    ||W||_F sqrt(2 (b_n - b_0))) bounds ||mu_n - exact|| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 20.1); the bound is that over max(||mu_n||, sqrt(b_n / a_n) /
+    ||R_n||_F). The first failing check in fold, size and column order raises, naming the
+    column and where[f * len(sizes) + s], the row that fold and size take in diagnostics.
     Response counts broadcast: one response or prior, () or (1,), joins every column."""
-    k, counts = prior.dim, [np.shape(prior.rate)] + [s.c.shape[1:] for s in sessions]
+    if isinstance(prior, _Factor):
+        u_0 = prior.r * np.sign(np.diagonal(prior.r, axis1=1, axis2=2))[..., None]
+        mu_0, entries_0, count = prior.mu_n[:, 0], prior.entries, prior.batch
+        gamma_0 = GammaParams(prior.a_n, prior.b_n[:, :1])
+    else:
+        u_0, mu_0, count = prior.lam.chol.T, prior.mu.reshape(prior.dim, -1), np.shape(prior.rate)
+        entries_0, gamma_0 = prior.lam.entries, prior.gamma
+    k = u_0.shape[-1]
+    counts = [count] + [s.c.shape[1:] for s in sessions]
     if any(s.p != k for s in sessions) or len(set(counts) - {(), (1,)}) > 1:
         raise ValueError(f"prior dimension {k} and response count {counts[0]} do not match design "
                          f"columns {[s.p for s in sessions]} and response counts {counts[1:]}")
     batch = np.broadcast_shapes(*counts)
-    width = math.prod(batch)
-    u_0 = prior.lam.chol.T
-    blocks = [(u_0, u_0 @ prior.mu.reshape(k, -1))] + [(s.r, s.c) for s in sessions]
-    a = np.vstack([m for m, _ in blocks])
-    b = np.vstack([np.broadcast_to(v.reshape(len(v), -1), (len(v), width)) for _, v in blocks])
+    folds = np.arange(len(sessions))[None] if folds is None else np.asarray(folds)
+    width, (n_folds, per_fold) = math.prod(batch), folds.shape
+    rs, cs, ns, es, xtxs = (np.zeros((len(sessions),) + shape)
+                            for shape in ((k, k), (k, width), (1, 1), (1, width), (k, k)))
+    for i, s in enumerate(sessions):  # r and c zero-padded to k rows
+        rs[i, :len(s.r)], cs[i, :len(s.c)] = s.r, s.c.reshape(len(s.c), -1)
+        ns[i], es[i], xtxs[i] = s.n, s.e, s.xtx
+    rows = k * (per_fold + 1)
+    a, b = np.empty((n_folds, rows, k)), np.empty((n_folds, rows, width))
+    a[:, :k], b[:, :k] = u_0, u_0 @ mu_0
+    for j, slot in enumerate(folds.T, 1):  # every fold's j-th session, in place
+        a[:, j * k:(j + 1) * k], b[:, j * k:(j + 1) * k] = rs[slot], cs[slot]
+    n, e, xtx = (v[folds].sum(axis=1) for v in (ns, es, xtxs))  # summed over each fold
+    del rs, cs  # only a and b keep the padded rows: the peak is b beside its residual
     q, r = np.linalg.qr(a)
-    w, c, e = np.linalg.inv(r), q.T @ b, sum(s.e for s in sessions)
+    w, c = np.linalg.inv(r), np.swapaxes(q, 1, 2) @ b
     sizes = np.array([k]) if sizes is None else sizes
     lead = np.arange(k) < sizes[:, None]
-    mu_n = (w * lead[:, None, :]) @ c
+    mu_n = (w[:, None] * lead[:, None, :]) @ c[:, None]
     # 2 (b_n - b_0): the sessions' and the stack's residuals, and Q^T b past each size
-    resid = e + np.sum((b - q @ c) ** 2, axis=0) + ~lead @ c ** 2
-    b_n = prior.rate + 0.5 * resid
-    w2, r2 = ((m * m).sum(axis=0).cumsum()[sizes - 1, None] for m in (w, r))
-    mu_norm = np.sqrt(np.einsum("skr,skr->sr", mu_n, mu_n))
-    a_n = prior.shape + 0.5 * sum(s.n for s in sessions)
-    entries = prior.lam.entries + sum(s.xtx for s in sessions)
+    past = ~lead @ c ** 2
+    stack = q @ c
+    np.subtract(b, stack, out=stack)
+    stack *= stack
+    resid = e + stack.sum(axis=1, keepdims=True) + past
+    b_n = gamma_0.rate + 0.5 * resid
+    w2, r2 = ((m * m).sum(axis=1).cumsum(axis=1)[:, sizes - 1, None] for m in (w, r))
+    mu_norm = np.sqrt(np.einsum("fskr,fskr->fsr", mu_n, mu_n))
+    a_n = gamma_0.shape + 0.5 * n
     bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
              / np.maximum(mu_norm, np.sqrt(b_n / (a_n * r2))))
     ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
     if not ok.all():
-        s, j = np.unravel_index(np.argmin(ok), ok.shape)
-        finite = np.isfinite(mu_norm[s, j]) and np.isfinite(b_n[s, j]) and b_n[s, j] > 0.0
+        at = np.unravel_index(np.argmin(ok), ok.shape)  # (fold, size, column)
+        finite = np.isfinite(mu_norm[at]) and np.isfinite(b_n[at]) and b_n[at] > 0.0
         what = "lost accuracy" if finite else "overflowed or degenerated"
-        raise DegeneratePosteriorError(f"{where[s]}posterior {what} in column {j}: b_n = "
-                                       f"{b_n[s, j]}, mu_n error bound {bound[s, j]:.3g} "
-                                       f"(at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, c, entries, batch, sizes, lead, a_n, mu_n, b_n, bound)
+        raise DegeneratePosteriorError(f"{where[at[0] * len(sizes) + at[1]]}posterior {what} in "
+                                       f"column {at[2]}: b_n = {b_n[at]}, mu_n error bound "
+                                       f"{bound[at]:.3g} (at most {MU_ERROR_TOL})")
+    return _Factor(a, b, r, w, c, entries_0 + xtx, batch, sizes, lead, n, e, gamma_0, a_n, mu_n,
+                   b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -242,10 +281,10 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
 
 
 def _posterior(f: _Factor) -> NormalGammaParams:
-    """The posterior the factor was solved for: Lambda_n's exact entries over its factor R_n."""
-    return NormalGammaParams(mu=f.mu_n[0].reshape(f.mu_n.shape[1:2] + f.batch),
-                             lam=SpdMatrix.from_factor(f.entries, f.r), shape=f.a_n,
-                             rate=f.b_n[0].reshape(f.batch))
+    """The posterior a one-fold factor was solved for: Lambda_n's exact entries over R_n."""
+    return NormalGammaParams(mu=f.mu_n[0, 0].reshape(f.mu_n.shape[2:3] + f.batch),
+                             lam=SpdMatrix.from_factor(f.entries[0], f.r[0]), shape=f.a_n.flat[0],
+                             rate=f.b_n[0, 0].reshape(f.batch))
 
 
 def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
@@ -253,13 +292,13 @@ def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
     return kl_normal_gamma(posterior, prior)
 
 
-def _accuracy_form(data: GlmDataset, a_n, b_n, rss, trace):
-    """Expected log-likelihood from <tau> = a_n / b_n, <ln tau> = psi(a_n) - ln b_n,
-    the residual sum of squares at mu_n and tr(Lambda_n^-1 X^T X)."""
+def _accuracy_form(n, logdet_P, a_n, b_n, rss, trace):
+    """Expected log-likelihood of n rows of noise precision P from <tau> = a_n / b_n,
+    <ln tau> = psi(a_n) - ln b_n, the residual sum of squares at mu_n and tr(Lambda_n^-1 X^T X)."""
     return (
-        0.5 * data.logdet_P
-        - 0.5 * data.n * _LN_2PI
-        + 0.5 * data.n * (digamma(a_n) - np.log(b_n))
+        0.5 * logdet_P
+        - 0.5 * n * _LN_2PI
+        + 0.5 * n * (digamma(a_n) - np.log(b_n))
         - 0.5 * ((a_n / b_n) * rss + trace)
     )
 
@@ -279,16 +318,16 @@ def accuracy(data: GlmDataset, posterior: NormalGammaParams):
     mu = posterior.mu.reshape(data.p, -1)
     rss = data.e + np.sum((data.c.reshape(len(data.c), -1) - data.r @ mu) ** 2, axis=0)
     trace = float(np.sum(np.linalg.solve(posterior.lam.chol, data.r.T) ** 2))
-    return _accuracy_form(data, posterior.shape, posterior.rate,
+    return _accuracy_form(data.n, data.logdet_P, posterior.shape, posterior.rate,
                           rss.reshape(np.shape(posterior.rate)), trace)
 
 
-def _direct_form(data: GlmDataset, a_0, b_0, logdet_0, a_n, b_n, logdet_n):
-    """Evidence from the ratio of prior to posterior normalizers: their shapes a, rates b
-    and ln|Lambda|, a row per model and a column per response."""
+def _direct_form(n, logdet_P, a_0, b_0, logdet_0, a_n, b_n, logdet_n):
+    """Evidence of n rows of noise precision P from the ratio of prior to posterior
+    normalizers: their shapes a, rates b and ln|Lambda|, a row per model, a column per response."""
     return (
-        -0.5 * data.n * _LN_2PI
-        + 0.5 * data.logdet_P
+        -0.5 * n * _LN_2PI
+        + 0.5 * logdet_P
         + 0.5 * (logdet_0 - logdet_n)
         + a_0 * np.log(b_0)
         - a_n * np.log(b_n)
@@ -299,47 +338,54 @@ def _direct_form(data: GlmDataset, a_0, b_0, logdet_0, a_n, b_n, logdet_n):
 
 def _direct_lme(data: GlmDataset, prior: NormalGammaParams, posterior: NormalGammaParams):
     """The direct evidence form of a prior and its posterior."""
-    return _direct_form(data, prior.shape, prior.rate, logdet_spd(prior.lam),
+    return _direct_form(data.n, data.logdet_P, prior.shape, prior.rate, logdet_spd(prior.lam),
                         posterior.shape, posterior.rate, logdet_spd(posterior.lam))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _evidence(data: GlmDataset, prior: NormalGammaParams, sizes=None, where=("",)):
-    """Factor one dataset under the prior and return (factor, quality, diagnostics).
+def _evidence(data: list, prior, sizes=None, where=("",)):
+    """Factor each fold's dataset, data[f], under the prior (see ``_factor``: one
+    NormalGammaParams for every fold, or a factor whose fold f is data[f]'s prior) and return
+    (factor, quality, diagnostics), a row per fold and size.
 
-    Row s of every result is the fit on the first sizes[s] columns (default all), whose
-    prior is the leading block of ``prior`` (exact when mu_0 is zero past it); every term is
-    a prefix sum over the mask ``f.lead``. Quality rows take the factor's response shape,
-    diagnostics a column per response. A failed check names where[s] and the column.
+    Size s is the fit on the first sizes[s] columns (default all), whose prior is the leading
+    block of ``prior`` (exact when mu_0 is zero past it); every term is a prefix sum over the
+    mask ``f.lead``. Quality rows take the factor's response shape, diagnostics a column per
+    response. The first failing check in fold, size and column order names the column and
+    where[row], the row of that fold and size.
     """
-    f = _factor([data], prior, sizes, where)
-    k, lead, sizes, a_n, b_n = prior.dim, f.lead, f.sizes, f.a_n, f.b_n
-    g = f.a @ f.w  # [U_0; r_1; ...] R_n^-1: orthonormal columns in exact arithmetic
-    resid = ((g[:, None, :] * lead).reshape(-1, k) @ f.c).reshape(len(g), len(sizes), -1)
-    resid -= f.b[:, None, :]  # a mu_n - b per size: (rows, S, R)
-    quad = np.einsum("isr,isr->sr", resid[:k], resid[:k])  # ||U_0 (mu_n - mu_0)||^2
-    rss = data.e + np.einsum("isr,isr->sr", resid[k:], resid[k:])  # ||y - X mu_n||^2
-    trace_0, trace_x = (lead @ np.sum(part ** 2, axis=0) for part in (g[:k], g[k:]))
-    logdet_0, logdet_n = (2.0 * lead @ np.log(np.abs(np.diag(m)))[:, None]
-                          for m in (prior.lam.chol, f.r))
-    acc = _accuracy_form(data, a_n, b_n, rss, trace_x[:, None])
-    com = _clamp(_normal_kl_form(quad, trace_0[:, None], logdet_0 - logdet_n, sizes[:, None],
-                                 a_n / b_n)
-                 + kl_gamma(GammaParams(a_n, b_n), prior.gamma))
+    f = _factor(data, prior, np.arange(len(data))[:, None], sizes, where)
+    k, lead, sizes, a_n, b_n = f.r.shape[-1], f.lead, f.sizes, f.a_n, f.b_n
+    g = f.a @ f.w  # [U_0; r_1] R_n^-1 per fold: orthonormal columns in exact arithmetic
+    resid = ((g[:, :, None, :] * lead).reshape(len(g), -1, k) @ f.c).reshape(
+        g.shape[:2] + b_n.shape[1:])
+    resid -= f.b[:, :, None, :]  # a mu_n - b per size: (F, rows, S, R)
+    quad = np.einsum("fisr,fisr->fsr", resid[:, :k], resid[:, :k])  # ||U_0 (mu_n - mu_0)||^2
+    rss = np.einsum("fisr,fisr->fsr", resid[:, k:], resid[:, k:])  # ||y - X mu_n||^2 - e
+    diag_0, diag_n = (np.abs(np.diagonal(m, axis1=1, axis2=2)) for m in (f.a[:, :k], f.r))
+    terms = np.stack([np.sum(g[:, :k] ** 2, axis=1), np.sum(g[:, k:] ** 2, axis=1),
+                      2.0 * np.log(diag_0), 2.0 * np.log(diag_n)])
+    trace_0, trace_x, logdet_0, logdet_n = lead @ terms[..., None]  # prefix sums per size
+    logdet_p = np.reshape([d.logdet_P for d in data], f.n.shape)
+    acc = _accuracy_form(f.n, logdet_p, a_n, b_n, f.e + rss, trace_x)
+    com = _clamp(_normal_kl_form(quad, trace_0, logdet_0 - logdet_n, sizes[:, None], a_n / b_n)
+                 + kl_gamma(GammaParams(a_n, b_n), f.gamma_0))
     lme = acc - com
-    direct = _direct_form(data, prior.shape, prior.rate, logdet_0, a_n, b_n, logdet_n)
+    direct = _direct_form(f.n, logdet_p, f.gamma_0.shape, f.gamma_0.rate, logdet_0, a_n, b_n,
+                          logdet_n)
     gap = np.abs(lme - direct)
     ok = gap <= EVIDENCE_CONSISTENCY_TOL
     if not np.all(ok):
-        s, j = np.unravel_index(np.argmin(ok), ok.shape)
+        at = np.unravel_index(np.argmin(ok), ok.shape)  # (fold, size, column)
         raise EvidenceConsistencyError(
-            f"{where[s]}column {j}: decomposition LME {lme[s, j]} vs direct LME "
-            f"{direct[s, j]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
+            f"{where[at[0] * len(sizes) + at[1]]}column {at[2]}: decomposition LME {lme[at]} "
+            f"vs direct LME {direct[at]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
         )
-    shape = (len(sizes),) + f.batch
-    return (f, ModelQuality(*(np.reshape(v, shape) for v in (lme, acc, com))),
-            FitDiagnostics(evidence_gap=gap, trace_residual=trace_0 + trace_x - sizes,
-                           mu_error_bound=f.bound))
+    rows = (-1,) + f.batch
+    return (f, ModelQuality(*(np.reshape(v, rows) for v in (lme, acc, com))),
+            FitDiagnostics(evidence_gap=gap.reshape(-1, gap.shape[-1]),
+                           trace_residual=(trace_0 + trace_x - sizes[:, None]).ravel(),
+                           mu_error_bound=f.bound.reshape(-1, gap.shape[-1])))
 
 
 def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
@@ -350,7 +396,7 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     EVIDENCE_CONSISTENCY_TOL raises EvidenceConsistencyError naming the column.
     The diagnostics hold one row, the fit's.
     """
-    f, q, diagnostics = _evidence(data, prior)
+    f, q, diagnostics = _evidence([data], prior)
     return GlmFit(prior, _posterior(f), ModelQuality(q.lme[0], q.accuracy[0], q.complexity[0]),
                   diagnostics)
 
@@ -368,7 +414,7 @@ def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders
     if np.any(prior.mu != 0.0) or np.any((orders < 0) | (orders >= data.p)):
         raise ValueError(f"nested fits need a zero prior mean and orders in [0, {data.p - 1}]")
     where = [f"fit failed at order {p}: " for p in orders]
-    return _evidence(data, prior, orders + 1, where)[1:]
+    return _evidence([data], prior, orders + 1, where)[1:]
 
 
 def reference_prior(p: int) -> NormalGammaParams:
@@ -384,29 +430,25 @@ def reference_prior(p: int) -> NormalGammaParams:
 def cv_model_quality(sessions):
     """Leave-one-session-out cross-validated model quality and its check margins.
 
-    For each held-out session, the remaining sessions are fitted from the
-    reference prior and the resulting posterior serves as the prior of the
-    held-out fit. Accuracy and complexity are summed over sessions, per
-    response (column r of every session forms problem r), and the evidence
-    is their difference. Returns that ModelQuality and FitDiagnostics with a
-    row per fold: the held-out fit's evidence gap and trace residual, and the
-    larger of the training and held-out fits' mu_n error bounds, the check
-    that came closer to failing. The training fit stacks the other sessions'
-    whitened factors; ln|P| does not enter it.
+    Fold i fits every session but i from the reference prior, and that posterior is the
+    prior of the held-out fit of session i. Each fold is one row of two stacked fits: one
+    factor holds every fold's training fit and, as it stands, is the prior of the second,
+    which holds every held-out fit. So every fold's training fit is checked before any
+    held-out fit, and a failed check of mu_n, b_n or the evidence gap names the lowest
+    failing fold and its column. Accuracy and complexity are summed over folds, per response
+    (column r of every session forms problem r), and the evidence is their difference.
+    Returns that ModelQuality and FitDiagnostics with a row per fold: the held-out fit's
+    evidence gap and trace residual, and the larger of the training and held-out fits' mu_n
+    error bounds, the check that came closer to failing. The training fit stacks the other
+    sessions' whitened factors; ln|P| does not enter it.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ValueError("cross-validated evidence requires at least 2 sessions")
-    prior = reference_prior(sessions[0].p)
-    folds = []  # (ModelQuality, FitDiagnostics) per fold
-    for i, held_out in enumerate(sessions):
-        try:
-            f = _factor([s for j, s in enumerate(sessions) if j != i], prior)
-            _, q, d = _evidence(held_out, _posterior(f))
-            folds.append((q, d._replace(mu_error_bound=np.maximum(d.mu_error_bound, f.bound))))
-        except ArithmeticError as exc:
-            raise type(exc)(f"fit failed at fold {i}: {exc}") from exc
-    quality, diagnostics = zip(*folds)
-    acc, com = (sum(getattr(q, name)[0] for q in quality) for name in ("accuracy", "complexity"))
+    where = [f"fit failed at fold {i}: " for i in range(len(sessions))]
+    others = [[j for j in range(len(sessions)) if j != i] for i in range(len(sessions))]
+    trained = _factor(sessions, reference_prior(sessions[0].p), others, where=where)
+    _, q, d = _evidence(sessions, trained, where=where)
+    acc, com = sum(q.accuracy), sum(q.complexity)
     return (ModelQuality(lme=acc - com, accuracy=acc, complexity=com),
-            FitDiagnostics(*map(np.concatenate, zip(*diagnostics))))
+            d._replace(mu_error_bound=np.maximum(d.mu_error_bound, trained.bound[:, 0])))

@@ -47,16 +47,21 @@ class FactorizationError(ValueError):
         )
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
+def log_gamma(x):
+    """ln Gamma(x) for finite x > 0; an array is taken element by element."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.array([log_gamma(v) for v in x.flat]).reshape(x.shape)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"log_gamma requires finite x > 0, got {x}")
     return math.lgamma(x)
 
 
-def digamma(x: float) -> float:
-    """psi(x) for x > 0: upward recurrence below 6, then asymptotic series."""
+def digamma(x):
+    """psi(x) for x > 0: upward recurrence below 6, then asymptotic series; an array is
+    taken element by element."""
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.array([digamma(v) for v in x.flat]).reshape(x.shape)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"digamma requires finite x > 0, got {x}")

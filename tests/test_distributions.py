@@ -37,6 +37,12 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="dimension"):
             MvNormalParams(mean=[0.0, 0.0], precision=SpdMatrix.identity(1))
 
+    def test_ng_shape_is_one_number(self):
+        # A gamma batch may have a shape per member (KL only); a normal-gamma has one shape.
+        assert np.array_equal(GammaParams(shape=[1.0, 2.0], rate=1.0).shape, [1.0, 2.0])
+        with pytest.raises(ValueError, match="gamma shape must be a single number"):
+            NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(1), shape=[1.0], rate=1.0)
+
     def test_ng_dimension(self):
         with pytest.raises(ValueError):
             NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(2), shape=1.0, rate=1.0)

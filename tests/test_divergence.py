@@ -91,6 +91,16 @@ class TestKlGamma:
         p, q = GammaParams(1, 1), GammaParams(2, 1)
         assert abs(kl_gamma(p, q) - kl_gamma(q, p)) > 0.1
 
+    def test_batch_of_shapes_and_rates(self):
+        # A shape per row and a rate per entry, as a stacked cross-validation passes them.
+        shapes, rates = np.array([[0.7], [3.2]]), np.array([[0.5, 2.0, 4.0], [1.1, 0.3, 7.0]])
+        got = kl_gamma(GammaParams(shapes, rates), GammaParams(1.5, np.array([1.0, 2.0, 0.4])))
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            single = kl_gamma(GammaParams(shapes[i, 0], rates[i, j]),
+                              GammaParams(1.5, [1.0, 2.0, 0.4][j]))
+            assert got[i, j] == single
+
 
 class TestKlNormalGamma:
     def test_identical_is_zero(self, rng):

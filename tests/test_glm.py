@@ -385,6 +385,69 @@ class TestCrossValidatedEvidence:
         assert prior.rate == 1e-3
         np.testing.assert_allclose(prior.lam.entries, 1e-6 * np.eye(3))
 
+    @pytest.mark.parametrize("R", [1, 4])
+    @pytest.mark.parametrize("single_at", [0, 2, 4])
+    def test_stacked_folds_equal_fold_by_fold_fits(self, R, single_at):
+        # Unequal n, two sessions with n < p (their r zero-padded to p rows), AR(1) whitening
+        # on three, and one single-response (n,) session at position single_at.
+        rng = np.random.default_rng(10 * R + single_at)
+        p = 4
+        beta = rng.standard_normal((p, R))
+        sessions = []
+        for i, (n, rho) in enumerate(((9, 0.5), (3, None), (12, -0.4), (2, 0.3), (7, None))):
+            X = rng.standard_normal((n, p))
+            y = X @ beta + rng.standard_normal((n, R))
+            sessions.append(GlmDataset(y=y[:, 0] if i == single_at else y, X=X,
+                                       P=None if rho is None else SpdMatrix(ar1_precision(n, rho))))
+        got, diagnostics = cv_model_quality(sessions)
+        folds = [log_model_evidence(held_out, fit_posterior(sessions[:i] + sessions[i + 1:],
+                                                            reference_prior(p))).quality
+                 for i, held_out in enumerate(sessions)]
+        want = {name: sum(getattr(q, name) for q in folds)
+                for name in ("lme", "accuracy", "complexity")}
+        assert got.lme.shape == (R,) and diagnostics.evidence_gap.shape == (5, R)
+        scale = max(1.0, np.max(np.abs(want["accuracy"])), np.max(np.abs(want["complexity"])))
+        for name, value in want.items():
+            np.testing.assert_allclose(getattr(got, name), value, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_failure_names_the_failing_fold(self, monkeypatch):
+        # Every design but session 3's is near-collinear, so the largest mu_n error bound sits
+        # away from fold 0: in fold 3's training fit, the one without session 3.
+        rng = np.random.default_rng(0)
+        sessions = []
+        for i in range(5):
+            X = rng.standard_normal((10, 3))
+            if i != 3:
+                X[:, 2] = X[:, 1] + 1e-4 * rng.standard_normal(10)
+            sessions.append(GlmDataset(y=X @ rng.standard_normal((3, 4))
+                                       + rng.standard_normal((10, 4)), X=X))
+        bound = cv_model_quality(sessions)[1].mu_error_bound
+        fold, column = np.unravel_index(np.argmax(bound), bound.shape)
+        largest, second = np.sort(bound, axis=None)[:-3:-1]
+        assert fold != 0 and largest > second
+        monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.5 * (largest + second))
+        with pytest.raises(DegeneratePosteriorError,
+                           match=f"fold {fold}: posterior lost accuracy in column {column}:"):
+            cv_model_quality(sessions)
+
+    def test_factorizations_do_not_grow_with_sessions(self, rng, monkeypatch):
+        X = rng.standard_normal((8, 2))
+        studies = {S: [GlmDataset(y=rng.standard_normal((8, 3)), X=X) for _ in range(S)]
+                   for S in (3, 7)}
+        qr, calls = np.linalg.qr, []
+
+        def counted_qr(*args, **kwargs):
+            calls.append(args)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        counts = {}
+        for S, sessions in studies.items():
+            calls.clear()
+            cv_model_quality(sessions)
+            counts[S] = len(calls)
+        assert counts[3] == counts[7]
+
 
 class TestDegenerateRate:
     def test_error_type_exists(self):

@@ -35,6 +35,16 @@ class TestLogGamma:
             log_gamma(bad)
 
 
+def test_special_functions_take_arrays_element_by_element():
+    x = np.array([[1e-3, 0.7], [6.0, 1e4]])
+    for f in (log_gamma, digamma):
+        got = f(x)
+        assert got.shape == x.shape
+        assert got.tolist() == [[f(v) for v in row] for row in x.tolist()]
+    with pytest.raises(ValueError):
+        digamma(np.array([1.0, -1.0]))
+
+
 class TestDigamma:
     def test_trivial_values(self):
         euler = 0.5772156649015329
