@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -182,15 +183,17 @@ def _cmd_study(args) -> int:
     config = load_config(args.config, args.config_type)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    result = args.run(config)
+    run, write, summary = (globals()[name] for name in args.study)  # rebindings are seen
+    result = run(config)
     start = time.perf_counter()
-    args.write(result, args.out)
+    write(result, args.out)
     stage_s = result.stage_s | {"write": time.perf_counter() - start}
-    print(json.dumps({"config": config.__dict__, **args.summary(result), "csv": str(args.out),
+    print(json.dumps({"config": config.__dict__, **summary(result), "csv": str(args.out),
                       "stage_s": stage_s}, allow_nan=False))
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ngbayes",
@@ -212,26 +215,23 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("prior", help="JSON file with mu0, Lambda0, a0, b0")
     fit.set_defaults(func=_cmd_fit)
 
-    # Built per call, so the study functions are looked up when main() runs.
-    for name, help_text, config_type, run, write, summary in (
+    for name, help_text, config_type, study_functions in (
         ("sweep", "polynomial model-order sweep", PolySweepConfig,
-         run_poly_sweep, write_sweep_csv, _sweep_summary),
+         ("run_poly_sweep", "write_sweep_csv", "_sweep_summary")),
         ("cv-study", "multi-session cross-validation study", CvStudyConfig,
-         run_cv_study, write_cv_csv, _cv_summary),
+         ("run_cv_study", "write_cv_csv", "_cv_summary")),
     ):
         study = sub.add_parser(name, help=help_text)
         study.add_argument("config", help=f"JSON config ({config_type.__name__} fields)")
         study.add_argument("--out", required=True, help="output CSV path")
         study.add_argument("--seed", type=int, default=None, help="override master_seed")
-        study.set_defaults(func=_cmd_study, config_type=config_type, run=run,
-                           write=write, summary=summary)
+        study.set_defaults(func=_cmd_study, config_type=config_type, study=study_functions)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -258,8 +258,8 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
     SeedSequence(master_seed, spawn_key=(r, 0)) and the sessions' noise (one
     draw, a row per session) from spawn_key=(r, 1), so a column does not
     depend on n_replications. The 2R seed states are computed in one pass and
-    each seeds its PCG64; each replication's matrix-vector product stays its
-    own, as one product over all replications rounds differently.
+    each seeds its PCG64 to draw a row of one beta and one noise array; the means come
+    from one X_gen @ beta[..., None], a gemv per replication (X_gen @ B rounds differently).
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -267,12 +267,13 @@ def _simulate(X_gen, noise_variance: float, master_seed: int, n_replications: in
     n, k = X_gen.shape
     keys = np.indices((n_replications, 2), dtype=np.uint32).reshape(2, -1).T  # (r, i), r-major
     states = _seed_states(master_seed, keys).reshape(n_replications, 2, _POOL)
-    y = np.empty((n_sessions, n, n_replications))
+    beta, z = np.empty((n_replications, k)), np.empty((n_replications, n_sessions, n))
     for rep, (beta_state, noise_state) in enumerate(states):
-        beta = np.random.default_rng(_SeedState(beta_state)).standard_normal(k)
-        z = np.random.default_rng(_SeedState(noise_state)).standard_normal((n_sessions, n))
-        y[:, :, rep] = X_gen @ beta + np.sqrt(noise_variance) * z
-    return y
+        np.random.default_rng(_SeedState(beta_state)).standard_normal(out=beta[rep])
+        np.random.default_rng(_SeedState(noise_state)).standard_normal(out=z[rep])
+    z *= np.sqrt(noise_variance)
+    z += (X_gen @ beta[..., None]).swapaxes(1, 2)
+    return np.ascontiguousarray(z.transpose(1, 2, 0))
 
 
 def simulate_polynomial(config: PolySweepConfig) -> np.ndarray:
@@ -344,8 +345,8 @@ def run_cv_study(config: CvStudyConfig) -> CvStudyResult:
     y = _simulate(X_gen, config.noise_variance, config.master_seed,
                   config.n_replications, config.n_sessions)
     simulated = time.perf_counter()
-    qa, da = cv_model_quality(GlmDataset(y=ys, X=X_a) for ys in y)
-    qb, db = cv_model_quality(GlmDataset(y=ys, X=X_b) for ys in y)
+    qa, da = cv_model_quality(GlmDataset.sessions(y, X_a))
+    qb, db = cv_model_quality(GlmDataset.sessions(y, X_b))
     return CvStudyResult(cvlme_a=qa.lme, cvlme_b=qb.lme, acc_a=qa.accuracy,
                          acc_b=qb.accuracy, com_a=qa.complexity, com_b=qb.complexity,
                          diagnostics={"a": da, "b": db},
@@ -368,8 +369,9 @@ def write_cv_csv(result: CvStudyResult, path) -> None:
 
 def _write_table(path, header: str, index, columns) -> None:
     """A header, then per row its integer index and each column to 12 digits."""
-    lines = [header] + [",".join([str(int(i))] + [format(float(c[r]), ".12g") for c in columns])
-                        for r, i in enumerate(index)]
+    row = "%d" + ",%.12g" * len(columns)
+    lines = [header] + [row % values for values in zip(
+        np.asarray(index).tolist(), *(np.asarray(c).tolist() for c in columns))]
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -140,31 +140,37 @@ class GlmDataset:
     e: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, y, X, P):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        vars(self).update(vars(GlmDataset.sessions([y], X, P)[0]))  # a frozen record's fields
+
+    @classmethod
+    def sessions(cls, ys, X, P=None) -> list:
+        """GlmDataset(y, X, P) for each y in ``ys``, bit for bit, from one factor of X and P."""
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"design matrix must be 2-D, got shape {X.shape}")
+        if X.ndim != 2 or X.size == 0:
+            raise ValueError(f"design matrix must be 2-D and at least 1x1, got shape {X.shape}")
         n, p = X.shape
-        if n < 1 or p < 1:
-            raise ValueError(f"design matrix must be at least 1x1, got {n}x{p}")
-        if y.ndim > 2 or y.shape[0] != n:
-            raise ValueError(f"y has shape {y.shape}, design has {n} rows")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
+        if not np.all(np.isfinite(X)):
             raise ValueError("data and design must be finite")
-        if P is not None:
-            if P.dim != n:
-                raise ValueError(f"noise precision is {P.dim}x{P.dim}, expected {n}x{n}")
-            lower = P.chol
-            y, X = lower.T @ y, lower.T @ X
-            object.__setattr__(self, "logdet_P", logdet_spd(P))
-        q, r = np.linalg.qr(X)
+        if P is not None and P.dim != n:
+            raise ValueError(f"noise precision is {P.dim}x{P.dim}, expected {n}x{n}")
+        shared, datasets = {"n": n, "p": p, "logdet_P": 0.0 if P is None else logdet_spd(P)}, []
         with np.errstate(over="ignore", invalid="ignore"):  # the fit names an overflow
-            c = q.T @ y
-            e = np.sum((y - q @ c) ** 2, axis=0)
-        for name, value in (("n", n), ("p", p), ("xtx", X.T @ X), ("r", r), ("c", c), ("e", e)):
+            X = X if P is None else P.chol.T @ X
+            (q, shared["r"]), shared["xtx"] = np.linalg.qr(X), X.T @ X
+            for y in ys:
+                y = np.atleast_1d(np.asarray(y, dtype=float))
+                if y.ndim > 2 or y.shape[0] != n:
+                    raise ValueError(f"y has shape {y.shape}, design has {n} rows")
+                if not np.all(np.isfinite(y)):
+                    raise ValueError("data and design must be finite")
+                y = y if P is None else P.chol.T @ y
+                c = q.T @ y
+                datasets.append(object.__new__(cls))
+                vars(datasets[-1]).update(shared, c=c, e=np.sum((y - q @ c) ** 2, axis=0))
+        for value in [v for d in datasets for v in vars(d).values()]:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        return datasets
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,7 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
     ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
     if not ok.all():
         at = np.unravel_index(np.argmin(ok), ok.shape)  # (fold, size, column)
-        finite = np.isfinite(mu_norm[at]) and np.isfinite(b_n[at]) and b_n[at] > 0.0
+        finite = np.isfinite([mu_norm[at], b_n[at], bound[at]]).all() and b_n[at] > 0.0
         what = "lost accuracy" if finite else "overflowed or degenerated"
         raise DegeneratePosteriorError(f"{where[at[0] * len(sizes) + at[1]]}posterior {what} in "
                                        f"column {at[2]}: b_n = {b_n[at]}, mu_n error bound "

@@ -312,6 +312,19 @@ class TestFitCommand:
         assert "overflow" in err and "column 0" in err
         assert "RuntimeWarning" not in err
 
+    def test_overflowing_design_is_one_numerical_error(self, capsys, tmp_path):
+        # X^T X overflows; the fit must name it in one line, with no numpy warning before it.
+        _, prior_file = self.write_hand_files(tmp_path)
+        data_file = tmp_path / "big.json"
+        X = 1e200 * np.random.default_rng(0).standard_normal((10, 1))
+        data_file.write_text(json.dumps({"y": np.ones(10).tolist(), "X": X.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run_cli(capsys, "fit", str(data_file), prior_file)
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("numerical error: ")
+        assert "overflowed or degenerated in column 0" in err
+
 
 class TestSweepCommand:
     def test_single_order_sweep(self, capsys, tmp_path):
@@ -453,11 +466,13 @@ def test_functions_are_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
     """Samplers, log-densities and study functions are found by module name per call.
 
     Rebinding those names (as a tracer does) must reach every call; a table
-    that captured the functions at import would bypass the rebinding.
+    that captured the functions at import, or a parser built before the
+    rebinding, would bypass it.
     """
     import ngbayes.cli
     import ngbayes.divergence
 
+    ngbayes.cli._build_parser()  # a parser that exists before the rebinding must see it
     calls = {}
 
     def count_calls(module, name):
@@ -472,7 +487,9 @@ def test_functions_are_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
     for kind in ("sample", "logpdf"):
         for family in ("gamma", "mvn", "ng"):
             count_calls(ngbayes.divergence, f"{kind}_{family}")
-    for name in ("run_poly_sweep", "run_cv_study"):
+    studies = ["run_poly_sweep", "run_cv_study", "write_sweep_csv", "write_cv_csv",
+               "_sweep_summary", "_cv_summary"]
+    for name in studies:
         count_calls(ngbayes.cli, name)
     pairs = {
         "gamma": ("a=1,b=1", "a=2,b=1"),
@@ -492,8 +509,29 @@ def test_functions_are_looked_up_at_call_time(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, "cv-study", str(cfg), "--out", str(tmp_path / "c.csv"))[0] == 0
     assert sorted(calls) == sorted(
         [f"{kind}_{family}" for kind in ("sample", "logpdf") for family in ("gamma", "mvn", "ng")]
-        + ["run_poly_sweep", "run_cv_study"]
+        + studies
     )
+
+
+class TestParserCache:
+    def test_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        import ngbayes.cli
+
+        ngbayes.cli._build_parser.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_simulations": 2, "p_max": 3, "p_true": 2,
+                                   "master_seed": 11}))
+        out_csv = str(tmp_path / "o.csv")
+        status, out, _ = run_cli(capsys, "sweep", str(cfg), "--out", out_csv, "--seed", "5")
+        assert status == 0 and json.loads(out)["config"]["master_seed"] == 5
+        status, out, _ = run_cli(capsys, "sweep", str(cfg), "--out", out_csv)
+        assert status == 0 and json.loads(out)["config"]["master_seed"] == 11
+        status, out, err = run_cli(capsys, "sweep", str(cfg))  # --out is required
+        assert status == 1 and out == "" and "--out" in err
+        info = ngbayes.cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        status, out, _ = run_cli(capsys, "--help")
+        assert status == 0 and out.startswith("usage: ngbayes")
 
 
 def csv_rows(text):

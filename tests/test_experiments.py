@@ -147,6 +147,18 @@ class TestSeedStreams:
         args = (X_gen, noise_variance, seed, 6, n_sessions)
         assert np.array_equal(_simulate(*args), simulate_per_stream(*args))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 16, 21])
+    @pytest.mark.parametrize("n", [2, 48, 100, 333])
+    def test_stacked_product_equals_per_replication_loop(self, k, n):
+        # One product over all replications forms the means; each must be the loop's, bit for bit.
+        X_gen = np.random.default_rng([k, n]).standard_normal((n, k))
+        for n_sessions in (1, 5):
+            for noise_variance in (0.0, 1.0, 2.5):
+                args = (X_gen, noise_variance, 4242, 7, n_sessions)
+                y = _simulate(*args)
+                assert y.flags.c_contiguous
+                assert np.array_equal(y, simulate_per_stream(*args))
+
 
 @pytest.fixture(scope="module")
 def small_sweep():
@@ -232,6 +244,18 @@ class TestRunCvStudy:
         a, b = run_cv_study(cfg), run_cv_study(cfg)
         np.testing.assert_array_equal(a.cvlme_a, b.cvlme_a)
         np.testing.assert_array_equal(a.cvlme_b, b.cvlme_b)
+
+    @pytest.mark.parametrize("n_sessions", [2, 3, 5])
+    def test_one_dataset_factor_per_design(self, monkeypatch, n_sessions):
+        qr, calls = np.linalg.qr, []
+
+        def counted_qr(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        run_cv_study(CvStudyConfig(n_replications=2, n_sessions=n_sessions))
+        assert calls.count(2) == 2  # a dataset's QR is 2-D, the stacked fits' 3-D
 
     def test_flexible_generator_supported(self):
         r = run_cv_study(CvStudyConfig(n_replications=3, generator="A", master_seed=1))

@@ -105,6 +105,26 @@ class TestGlmDataset:
         with pytest.raises(ValueError):
             GlmDataset(y=[1.0], X=[[1.0]], P=SpdMatrix.identity(2))
 
+    @pytest.mark.parametrize("with_p", [False, True])
+    def test_sessions_equal_separate_datasets(self, rng, with_p):
+        n = 9
+        X = rng.standard_normal((n, 3))
+        P = SpdMatrix(ar1_precision(n, 0.4)) if with_p else None
+        ys = [rng.standard_normal(n), rng.standard_normal((n, 4)), rng.standard_normal((n, 1))]
+        shared = GlmDataset.sessions(ys, X, P)
+        assert len(shared) == len(ys)
+        for dataset, y in zip(shared, ys):
+            alone = GlmDataset(y=y, X=X, P=P)
+            assert type(dataset) is GlmDataset and not dataset.c.flags.writeable
+            for name in ("r", "c", "e", "xtx", "n", "p", "logdet_P"):
+                assert np.array_equal(getattr(dataset, name), getattr(alone, name)), name
+
+    def test_sessions_check_every_response(self):
+        with pytest.raises(ValueError, match="y has shape"):
+            GlmDataset.sessions([[1.0, 2.0], [1.0]], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GlmDataset.sessions([[1.0, 2.0], [1.0, np.inf]], [[1.0], [2.0]])
+
 
 class TestFitPosterior:
     def test_hand_example(self):
