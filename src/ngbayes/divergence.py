@@ -100,12 +100,15 @@ def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
     return _clamp(_normal_kl(p.mean, p.precision, q.mean, q.precision, 1.0))
 
 
+@np.errstate(over="ignore", divide="ignore")
 def kl_gamma(p: GammaParams, q: GammaParams):
     """KL[P || Q] for two univariate gammas; exactly 0 when P equals Q."""
     a1, b1 = p.shape, p.rate
     a2, b2 = q.shape, q.rate
+    ratio = b1 / b2  # ln b1 - ln b2 stands in where the quotient is not a finite normal float
+    normal = np.isfinite(ratio) & (ratio >= np.finfo(float).tiny)
     value = (
-        a2 * np.log(b1 / b2)
+        a2 * np.where(normal, np.log(ratio), np.log(b1) - np.log(b2))
         - (log_gamma(a1) - log_gamma(a2))
         + (a1 - a2) * digamma(a1)
         - (b1 - b2) * a1 / b1

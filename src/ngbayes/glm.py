@@ -22,9 +22,7 @@ every fold, so a single fit is equally the one-fold case. A factor is the
 next fit's prior: its R_n with rows sign-fixed is the next U_0, that times
 mu_n the next U_0 mu_0, and a_n, b_n and Lambda_n's entries carry over, so
 the leave-one-session-out cross-validation is two stacked fits, every
-fold's training fit and then every fold's held-out fit. Every fold's training fit
-is checked before any held-out fit, and a failed check of mu_n, b_n or
-the evidence gap names the lowest failing fold and its column.
+fold's training fit and then every fold's held-out fit.
 
 The closed forms also take R responses (n, R) that share one design,
 which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
@@ -32,19 +30,20 @@ evidence (R,) hold one column per response, and every check runs per
 column. The prior's and every session's response counts broadcast, so one
 response (n,), like one prior, joins every column; alone it is R = 1.
 
-The log model evidence is computed twice: once as accuracy minus
-complexity and once from the ratio of prior to posterior normalization
-constants, a function of their shapes, rates and log-determinants alone.
-Disagreement between the two paths is treated as an internal error; the
-redundancy is the main correctness harness of this module.
-Each fit reports how close it came: the gap between the paths and the
-residual of the trace identity tr(Lambda_n^-1 X^T X) + tr(Lambda_n^-1 Lambda_0) = k.
-Any X is accepted, as an SPD Lambda_0 makes Lambda_n SPD; each fit bounds the
-error of its mu_n, which neither path sees, and raises above MU_ERROR_TOL.
+The log model evidence is computed twice, from two residuals: accuracy minus complexity
+takes a mu_n - b at the mu_n the fit reports, and the direct form, the ratio of prior to
+posterior normalizers, reads shapes, rates and log-determinants alone, its b_n from the QR's
+least-squares residual. So a mu_n off by d opens the gap by (a_n / b_n) d^T Lambda_n d / 2,
+whereas a b_n formed from the first residual would close it for any mu_n. A gap above
+EVIDENCE_CONSISTENCY_TOL is an internal error; this redundancy is the module's correctness
+harness. Each fit reports the gap and the residual of the trace identity tr(Lambda_n^-1 X^T X)
++ tr(Lambda_n^-1 Lambda_0) = k. Any X is accepted, as an SPD Lambda_0 makes Lambda_n SPD; the
+gap sees a mu_n error only to second order, so each fit bounds it and raises above MU_ERROR_TOL.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
@@ -192,7 +191,6 @@ class _Factor(NamedTuple):
     b: np.ndarray  # (F, rows, W): [U_0 mu_0; c_1; ...; c_S], padded the same way
     r: np.ndarray  # (F, k, k): r^T r = Lambda_n
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
-    c: np.ndarray  # (F, k, W): Q^T b
     entries: np.ndarray  # (F, k, k): Lambda_0 + sum X^T X, Lambda_n's displayed entries
     batch: tuple  # response shape of the fit: () or (R,)
     sizes: np.ndarray  # (S,): row s's k
@@ -272,7 +270,7 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
         raise DegeneratePosteriorError(f"{where[at[0] * len(sizes) + at[1]]}posterior {what} in "
                                        f"column {at[2]}: b_n = {b_n[at]}, mu_n error bound "
                                        f"{bound[at]:.3g} (at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, c, entries_0 + xtx, batch, sizes, lead, n, e, gamma_0, a_n, mu_n,
+    return _Factor(a, b, r, w, entries_0 + xtx, batch, sizes, lead, n, e, gamma_0, a_n, mu_n,
                    b_n, bound)
 
 
@@ -355,17 +353,18 @@ def _evidence(data: list, prior, sizes=None, where=("",)):
     (factor, quality, diagnostics), a row per fold and size.
 
     Size s is the fit on the first sizes[s] columns (default all), whose prior is the leading
-    block of ``prior`` (exact when mu_0 is zero past it); every term is a prefix sum over the
-    mask ``f.lead``. Quality rows take the factor's response shape, diagnostics a column per
-    response. The first failing check in fold, size and column order names the column and
-    where[row], the row of that fold and size.
+    block of ``prior`` (exact when mu_0 is zero past it); traces and log-determinants are prefix
+    sums over the mask ``f.lead``, and accuracy and complexity take a mu_n - b at the factor's
+    mu_n, which is zero past its size, while b_n stays the factor's. Quality rows take the
+    factor's response shape, diagnostics a column per response. The first failing check in
+    fold, size and column order names the column and where[row], the row of that fold and size.
     """
     f = _factor(data, prior, np.arange(len(data))[:, None], sizes, where)
     k, lead, sizes, a_n, b_n = f.r.shape[-1], f.lead, f.sizes, f.a_n, f.b_n
-    g = f.a @ f.w  # [U_0; r_1] R_n^-1 per fold: orthonormal columns in exact arithmetic
-    resid = ((g[:, :, None, :] * lead).reshape(len(g), -1, k) @ f.c).reshape(
-        g.shape[:2] + b_n.shape[1:])
-    resid -= f.b[:, :, None, :]  # a mu_n - b per size: (F, rows, S, R)
+    g = f.a @ f.w  # [U_0; r_1] R_n^-1 per fold, for the traces: orthonormal columns if exact
+    resid = (f.a @ np.swapaxes(f.mu_n, 1, 2).reshape(len(f.a), k, -1)).reshape(
+        f.b.shape[:2] + b_n.shape[1:])  # one gemm per fold against every size's mu_n abreast
+    resid -= f.b[:, :, None, :]  # a mu_n - b per size at the reported mu_n: (F, rows, S, R)
     quad = np.einsum("fisr,fisr->fsr", resid[:, :k], resid[:, :k])  # ||U_0 (mu_n - mu_0)||^2
     rss = np.einsum("fisr,fisr->fsr", resid[:, k:], resid[:, k:])  # ||y - X mu_n||^2 - e
     diag_0, diag_n = (np.abs(np.diagonal(m, axis1=1, axis2=2)) for m in (f.a[:, :k], f.r))
@@ -423,14 +422,11 @@ def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders
     return _evidence([data], prior, orders + 1, where)[1:]
 
 
+@functools.cache
 def reference_prior(p: int) -> NormalGammaParams:
-    """Near-flat prior used as the starting point of cross-validation."""
-    return NormalGammaParams(
-        mu=np.zeros(p),
-        lam=SpdMatrix(REFERENCE_PRIOR_PRECISION * np.eye(p)),
-        shape=REFERENCE_PRIOR_SHAPE,
-        rate=REFERENCE_PRIOR_RATE,
-    )
+    """Near-flat prior that starts cross-validation: one immutable record per p, built once."""
+    return NormalGammaParams(mu=np.zeros(p), lam=SpdMatrix(REFERENCE_PRIOR_PRECISION * np.eye(p)),
+                             shape=REFERENCE_PRIOR_SHAPE, rate=REFERENCE_PRIOR_RATE)
 
 
 def cv_model_quality(sessions):

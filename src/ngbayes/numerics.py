@@ -106,7 +106,7 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdMatrix:
-    """Symmetric positive-definite matrix with a cached Cholesky factor.
+    """Symmetric positive-definite matrix with a cached Cholesky factor, both read-only.
 
     Validation happens on construction: symmetry to 1e-12 relative
     tolerance and a successful factorization (all pivots > 0).
@@ -125,9 +125,9 @@ class SpdMatrix:
         if np.max(np.abs(a - a.T)) > _SYMMETRY_RTOL * max(scale, 1.0):
             raise ValueError("matrix is not symmetric within tolerance")
         a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "chol", _cholesky_lower(a))
+        for name, value in (("entries", a), ("chol", _cholesky_lower(a))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

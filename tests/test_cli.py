@@ -27,6 +27,13 @@ class TestKlCommand:
         assert status == 0
         assert json.loads(out)["kl"] == pytest.approx(0.57722, abs=1e-5)
 
+    def test_gamma_rate_quotient_beyond_float_range(self, capsys):
+        # b1 / b2 = 1e400 overflows, but ln b1 - ln b2 does not; the reference has 50 digits.
+        status, out, _ = run_cli(capsys, "kl", "gamma", "--p", "a=1,b=1e200",
+                                 "--q", "a=1,b=1e-200")
+        assert status == 0
+        assert json.loads(out)["kl"] == pytest.approx(920.0340371976182736, rel=1e-12)
+
     def test_ng_check_passes(self, capsys):
         p = '{"mu": [0.5], "Lambda": [[2.0]], "a": 2.0, "b": 1.0}'
         q = '{"mu": [0.0], "Lambda": [[1.0]], "a": 1.0, "b": 1.0}'
@@ -97,6 +104,7 @@ class TestKlCommand:
 
     @pytest.mark.parametrize("family, p, q", [
         ("gamma", "a=1e-300,b=1", "a=1e300,b=1e-300"),
+        ("gamma", "a=1,b=1e-200", "a=1,b=1e200"),  # the true KL, about 1e400, is not a float
         ("mvn", '{"mu": [1e200], "Lambda": [[1e200]]}', '{"mu": [-1e200], "Lambda": [[1e200]]}'),
         ("ng", '{"mu": [1e200], "Lambda": [[1e200]], "a": 1, "b": 1}',
          '{"mu": [-1e200], "Lambda": [[1e200]], "a": 1, "b": 1}'),

@@ -274,6 +274,29 @@ class TestLogModelEvidence:
         evidence, _ = integrate.dblquad(integrand, 1e-9, 60, lambda t: -25, lambda t: 25)
         assert fit.quality.lme == pytest.approx(math.log(evidence), abs=1e-4)
 
+    def test_gap_sees_a_wrong_mu_n(self, rng, monkeypatch):
+        # Accuracy and complexity take their residual at the factor's mu_n, while b_n comes
+        # from the least-squares residual, so a mu_n off by d opens the gap by
+        # (a_n / b_n) d^T Lambda_n d / 2 in every kind of fit.
+        factor = glm._factor
+
+        def off_by_1e_3(*args, **kwargs):
+            f = factor(*args, **kwargs)
+            return f._replace(mu_n=f.mu_n * (1.0 + 1e-3))
+
+        X = rng.standard_normal((40, 3))
+        data = GlmDataset(y=X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(40), X=X)
+        sessions = GlmDataset.sessions(X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal((3, 40)),
+                                       X)
+        assert log_model_evidence(data, unit_prior(3)).diagnostics.evidence_gap[0, 0] < 1e-9
+        monkeypatch.setattr(glm, "_factor", off_by_1e_3)
+        with pytest.raises(EvidenceConsistencyError, match="column 0"):
+            log_model_evidence(data, unit_prior(3))
+        with pytest.raises(EvidenceConsistencyError, match="order 2: column 0"):
+            nested_log_model_evidence(data, unit_prior(3), [2])
+        with pytest.raises(EvidenceConsistencyError, match="fold 0: column 0"):
+            cv_model_quality(sessions)
+
     def test_refit_with_own_posterior_increases_evidence(self, rng):
         improved = 0
         for _ in range(20):
@@ -404,6 +427,17 @@ class TestCrossValidatedEvidence:
         assert prior.shape == 1e-3
         assert prior.rate == 1e-3
         np.testing.assert_allclose(prior.lam.entries, 1e-6 * np.eye(3))
+
+    def test_reference_prior_built_once_per_p(self, rng):
+        prior = reference_prior(3)
+        arrays = (prior.mu, prior.lam.entries, prior.lam.chol)
+        before = [array.copy() for array in arrays]
+        cv_model_quality(self.make_sessions(rng, p=3))
+        assert reference_prior(3) is prior and reference_prior(2) is not prior
+        for array, copy in zip(arrays, before):
+            assert not array.flags.writeable
+            np.testing.assert_array_equal(array, copy)
+        assert (prior.shape, prior.rate) == (1e-3, 1e-3)
 
     @pytest.mark.parametrize("R", [1, 4])
     @pytest.mark.parametrize("single_at", [0, 2, 4])

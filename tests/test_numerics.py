@@ -107,6 +107,17 @@ class TestCholesky:
         np.testing.assert_allclose(lower @ lower.T, a.entries, rtol=1e-10, atol=1e-12)
         assert np.allclose(np.triu(lower, 1), 0.0)
 
+    @pytest.mark.parametrize("make", [lambda: SpdMatrix(np.eye(2)),
+                                      lambda: SpdMatrix.from_factor(np.eye(2), np.eye(2))])
+    def test_factor_and_entries_are_read_only(self, make):
+        # Every KL, log-density and fit reads the cached factor: a write would change them all.
+        m = make()
+        for array in (m.chol, m.entries):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 5.0
+        np.testing.assert_array_equal(m.chol, np.eye(2))
+
 
 class TestLogdet:
     def test_identity(self):
