@@ -3,8 +3,9 @@
 One normal kernel serves both normal families: the normal KL is it at
 precision scale 1, and the normal-gamma KL is it at the scale's mean
 E[y] = a/b plus the gamma KL of the scales, a chain-rule sum that holds to
-floating-point exactness by construction. The gamma and normal-gamma KLs
-also take batches (see ``NormalGammaParams``), one value per column. One
+floating-point exactness by construction; P = Q gives exactly 0, as the
+kernel's trace is exactly k at equal precisions. The gamma and normal-gamma
+KLs also take batches (see ``NormalGammaParams``), one value per column. One
 Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family; its
 batches run on two worker threads, each batch on its own random stream
 spawned from the caller's Generator, so the estimate depends on the seed
@@ -58,12 +59,14 @@ class KlEstimate:
 
 
 def _clamp(value):
-    if not np.all(np.isfinite(value)):
-        raise ArithmeticError(f"closed-form KL evaluated to {value}, not a finite number")
-    if np.any(value < _NEGATIVE_TOL):
-        raise NegativeDivergenceError(
-            f"closed-form KL evaluated to {value}, below the rounding tolerance"
-        )
+    """``value`` raised to at least 0; the first bad entry raises, named (in a batch, indexed)."""
+    for bad, error, what in ((~np.isfinite(value), ArithmeticError, "not a finite number"),
+                             (value < _NEGATIVE_TOL, NegativeDivergenceError,
+                              "below the rounding tolerance")):
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), np.shape(bad))
+            index = f" at index {tuple(map(int, at))}" if np.size(value) > 1 else ""
+            raise error(f"closed-form KL evaluated to {np.asarray(value)[at]}{index}, {what}")
     return np.maximum(value, 0.0)
 
 
@@ -71,9 +74,10 @@ def _clamp(value):
 def _normal_kl(mu_p, lam_p, mu_q, lam_q, weight):
     """KL[N(mu_p, (y lam_p)^-1) || N(mu_q, (y lam_q)^-1)] averaged over y, E[y] = weight.
 
-    Only the mean term scales with y. Means (k, R) give one value per column;
-    an overflow gives a non-finite value, which ``_clamp`` rejects. The trace
-    tr(lam_p^-1 lam_q) is ||L_p^-1 L_q||_F^2 from the cached factors.
+    Only the mean term scales with y, and where the means agree it is 0 at any weight. Means
+    (k, R) give one value per column; an overflow gives a non-finite value, which ``_clamp``
+    rejects. The trace tr(lam_p^-1 lam_q) is ||L_p^-1 L_q||_F^2 from the cached factors, or
+    exactly k, the log-determinants cancelling, when the precisions are equal.
     """
     k = lam_p.dim
     if lam_q.dim != k:
@@ -81,8 +85,12 @@ def _normal_kl(mu_p, lam_p, mu_q, lam_q, weight):
     batch = np.broadcast_shapes(mu_p.shape[1:], mu_q.shape[1:])
     d = mu_q.reshape(k, -1) - mu_p.reshape(k, -1)  # one column per batch member
     quad = _quad_form(lam_q.chol, d.T).reshape(batch)
-    trace = float(np.sum(np.linalg.solve(lam_p.chol, lam_q.chol) ** 2))
-    return _normal_kl_form(quad, trace, logdet_spd(lam_q) - logdet_spd(lam_p), k, weight)
+    if np.array_equal(lam_p.entries, lam_q.entries):
+        trace, logdet_term = float(k), 0.0
+    else:
+        trace = float(np.sum(np.linalg.solve(lam_p.chol, lam_q.chol) ** 2))
+        logdet_term = logdet_spd(lam_q) - logdet_spd(lam_p)
+    return _normal_kl_form(quad, trace, logdet_term, k, np.where(quad == 0.0, 0.0, weight))
 
 
 def _normal_kl_form(quad, trace, logdet_term, k, weight):
@@ -93,10 +101,7 @@ def _normal_kl_form(quad, trace, logdet_term, k, weight):
 
 
 def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
-    """KL[P || Q] for two multivariate normals of equal dimension."""
-    if p is q or (np.array_equal(p.mean, q.mean)
-                  and np.array_equal(p.precision.entries, q.precision.entries)):
-        return 0.0
+    """KL[P || Q] for two multivariate normals of equal dimension; exactly 0 when P equals Q."""
     return _clamp(_normal_kl(p.mean, p.precision, q.mean, q.precision, 1.0))
 
 
@@ -129,18 +134,9 @@ def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
     """KL[P || Q] for two normal-gamma distributions.
 
     Chain rule: expected conditional normal divergence plus the gamma
-    divergence of the precision scales.
+    divergence of the precision scales, each exactly 0 where its parameters agree.
     """
-    if p is q or (
-        np.array_equal(p.mu, q.mu)
-        and np.array_equal(p.lam.entries, q.lam.entries)
-        and p.shape == q.shape
-        and np.array_equal(p.rate, q.rate)
-    ):
-        return 0.0 * p.rate  # zero in each column
-    return _clamp(
-        expected_conditional_mvn_kl(p, q) + kl_gamma(p.gamma, q.gamma)
-    )
+    return _clamp(expected_conditional_mvn_kl(p, q) + kl_gamma(p.gamma, q.gamma))
 
 
 def _score(logpdf_p, logpdf_q, samples, start):

@@ -9,10 +9,10 @@ for any mu. A posterior is one more thin QR, of the prior's and the sessions'
 stacked factors [U_0; r_1; ...] with right-hand side [U_0 mu_0; c_1; ...],
 where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
 factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
-X^T X is never factored or solved with (it is summed only for Lambda_n's
-displayed entries), and no quadratic form is subtracted. That factor is the
-fit's one record: it decides a_n, the sizes, the response batch and Lambda_n's
-displayed entries once, and every later step reads them there.
+X^T X is never factored or solved with, and no quadratic form is subtracted:
+Lambda_0 + sum X^T X is summed only where a posterior is returned, for its
+displayed entries. That factor is the fit's one record: it decides a_n, the
+sizes and the response batch once, and every later step reads them there.
 The leading k columns of a QR factor are the factor of the leading k
 columns, so nested designs (the first k columns, for several k) are all
 read from one factor, their log-determinants, traces and residuals as
@@ -20,7 +20,7 @@ prefix sums; a single fit is the one-size case of the same code.
 Fits also stack along a leading fold axis, one QR and one inverse for
 every fold, so a single fit is equally the one-fold case. A factor is the
 next fit's prior: its R_n with rows sign-fixed is the next U_0, that times
-mu_n the next U_0 mu_0, and a_n, b_n and Lambda_n's entries carry over, so
+mu_n the next U_0 mu_0, and a_n and b_n carry over, so
 the leave-one-session-out cross-validation is two stacked fits, every
 fold's training fit and then every fold's held-out fit.
 
@@ -124,8 +124,8 @@ class GlmDataset:
     once as P = L L^T and the rows are whitened, L^T y and L^T X, with
     ``logdet_P`` = ln|P|, so every later step sees white noise. The whitened
     rows are factored once, X = Q r; fits compute from r, ``c`` = Q^T y and
-    ``e`` = ||y - Q c||^2 per response, and ``xtx`` = X^T X gives Lambda_n's
-    entries. No field grows with n, and X may have any rank and shape."""
+    ``e`` = ||y - Q c||^2 per response, and ``xtx`` = X^T X gives a returned
+    posterior's Lambda_n entries. No field grows with n, and X may have any rank and shape."""
 
     y: InitVar[np.ndarray]
     X: InitVar[np.ndarray]
@@ -191,7 +191,6 @@ class _Factor(NamedTuple):
     b: np.ndarray  # (F, rows, W): [U_0 mu_0; c_1; ...; c_S], padded the same way
     r: np.ndarray  # (F, k, k): r^T r = Lambda_n
     w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
-    entries: np.ndarray  # (F, k, k): Lambda_0 + sum X^T X, Lambda_n's displayed entries
     batch: tuple  # response shape of the fit: () or (R,)
     sizes: np.ndarray  # (S,): row s's k
     lead: np.ndarray  # (S, k): column j enters size s
@@ -220,11 +219,11 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
     Response counts broadcast: one response or prior, () or (1,), joins every column."""
     if isinstance(prior, _Factor):
         u_0 = prior.r * np.sign(np.diagonal(prior.r, axis1=1, axis2=2))[..., None]
-        mu_0, entries_0, count = prior.mu_n[:, 0], prior.entries, prior.batch
+        mu_0, count = prior.mu_n[:, 0], prior.batch
         gamma_0 = GammaParams(prior.a_n, prior.b_n[:, :1])
     else:
         u_0, mu_0, count = prior.lam.chol.T, prior.mu.reshape(prior.dim, -1), np.shape(prior.rate)
-        entries_0, gamma_0 = prior.lam.entries, prior.gamma
+        gamma_0 = prior.gamma
     k = u_0.shape[-1]
     counts = [count] + [s.c.shape[1:] for s in sessions]
     if any(s.p != k for s in sessions) or len(set(counts) - {(), (1,)}) > 1:
@@ -233,17 +232,17 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
     batch = np.broadcast_shapes(*counts)
     folds = np.arange(len(sessions))[None] if folds is None else np.asarray(folds)
     width, (n_folds, per_fold) = math.prod(batch), folds.shape
-    rs, cs, ns, es, xtxs = (np.zeros((len(sessions),) + shape)
-                            for shape in ((k, k), (k, width), (1, 1), (1, width), (k, k)))
+    rs, cs, ns, es = (np.zeros((len(sessions),) + shape)
+                      for shape in ((k, k), (k, width), (1, 1), (1, width)))
     for i, s in enumerate(sessions):  # r and c zero-padded to k rows
         rs[i, :len(s.r)], cs[i, :len(s.c)] = s.r, s.c.reshape(len(s.c), -1)
-        ns[i], es[i], xtxs[i] = s.n, s.e, s.xtx
+        ns[i], es[i] = s.n, s.e
     rows = k * (per_fold + 1)
     a, b = np.empty((n_folds, rows, k)), np.empty((n_folds, rows, width))
     a[:, :k], b[:, :k] = u_0, u_0 @ mu_0
     for j, slot in enumerate(folds.T, 1):  # every fold's j-th session, in place
         a[:, j * k:(j + 1) * k], b[:, j * k:(j + 1) * k] = rs[slot], cs[slot]
-    n, e, xtx = (v[folds].sum(axis=1) for v in (ns, es, xtxs))  # summed over each fold
+    n, e = ns[folds].sum(axis=1), es[folds].sum(axis=1)  # summed over each fold
     del rs, cs  # only a and b keep the padded rows: the peak is b beside its residual
     q, r = np.linalg.qr(a)
     w, c = np.linalg.inv(r), np.swapaxes(q, 1, 2) @ b
@@ -270,8 +269,7 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
         raise DegeneratePosteriorError(f"{where[at[0] * len(sizes) + at[1]]}posterior {what} in "
                                        f"column {at[2]}: b_n = {b_n[at]}, mu_n error bound "
                                        f"{bound[at]:.3g} (at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, entries_0 + xtx, batch, sizes, lead, n, e, gamma_0, a_n, mu_n,
-                   b_n, bound)
+    return _Factor(a, b, r, w, batch, sizes, lead, n, e, gamma_0, a_n, mu_n, b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -281,13 +279,14 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
     stacked under the prior's. The prior may be a batch of R.
     """
     parts = [data] if isinstance(data, GlmDataset) else list(data)
-    return _posterior(_factor(parts, prior))
+    return _posterior(_factor(parts, prior),
+                      prior.lam.entries + np.sum([d.xtx for d in parts], axis=0))
 
 
-def _posterior(f: _Factor) -> NormalGammaParams:
-    """The posterior a one-fold factor was solved for: Lambda_n's exact entries over R_n."""
+def _posterior(f: _Factor, entries) -> NormalGammaParams:
+    """The posterior a one-fold factor was solved for: Lambda_n's exact ``entries`` over R_n."""
     return NormalGammaParams(mu=f.mu_n[0, 0].reshape(f.mu_n.shape[2:3] + f.batch),
-                             lam=SpdMatrix.from_factor(f.entries[0], f.r[0]), shape=f.a_n.flat[0],
+                             lam=SpdMatrix.from_factor(entries, f.r[0]), shape=f.a_n.flat[0],
                              rate=f.b_n[0, 0].reshape(f.batch))
 
 
@@ -402,8 +401,8 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     The diagnostics hold one row, the fit's.
     """
     f, q, diagnostics = _evidence([data], prior)
-    return GlmFit(prior, _posterior(f), ModelQuality(q.lme[0], q.accuracy[0], q.complexity[0]),
-                  diagnostics)
+    return GlmFit(prior, _posterior(f, prior.lam.entries + data.xtx),
+                  ModelQuality(q.lme[0], q.accuracy[0], q.complexity[0]), diagnostics)
 
 
 def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders):

@@ -10,6 +10,7 @@ from scipy import integrate
 from ngbayes import (
     GammaParams,
     MvNormalParams,
+    NormalGammaParams,
     SpdMatrix,
     expected_conditional_mvn_kl,
     kl_gamma,
@@ -108,11 +109,20 @@ class TestKlNormalGamma:
         assert kl_normal_gamma(p, p) == 0.0
 
     def test_collapses_to_gamma_part(self, rng):
-        base = random_ng(rng, 2)
-        q = type(base)(mu=base.mu, lam=base.lam, shape=1.3, rate=0.9)
-        assert kl_normal_gamma(base, q) == pytest.approx(
-            kl_gamma(base.gamma, q.gamma), abs=1e-12
-        )
+        # Equal precisions give a trace of exactly k: the normal term adds exactly 0.
+        for _ in range(200):
+            base = random_ng(rng, int(rng.integers(1, 8)))
+            q = type(base)(mu=base.mu, lam=base.lam, shape=rng.uniform(0.5, 4.0),
+                           rate=rng.uniform(0.5, 4.0))
+            assert kl_normal_gamma(base, q) == kl_gamma(base.gamma, q.gamma)
+
+    def test_equal_means_under_an_overflowing_scale_mean(self):
+        # a / b overflows, but the mean term is 0 for every y where the means agree.
+        p = NormalGammaParams(mu=[1.0, 2.0], lam=SpdMatrix(np.diag([2.0, 1.0])),
+                              shape=1e200, rate=1e-200)
+        q = NormalGammaParams(mu=p.mu, lam=p.lam, shape=1e200, rate=2e-200)
+        assert kl_normal_gamma(p, p) == 0.0
+        assert kl_normal_gamma(p, q) == pytest.approx(1e200 * (1.0 - math.log(2.0)), rel=1e-12)
 
     def test_matches_monte_carlo(self, rng):
         p, q = random_ng(rng, 2), random_ng(rng, 2)
@@ -126,9 +136,11 @@ class TestKlNormalGamma:
 
 class TestExpectedConditionalKl:
     def test_zero_when_normal_parts_match(self, rng):
-        base = random_ng(rng, 3)
-        q = type(base)(mu=base.mu, lam=base.lam, shape=2.0, rate=3.0)
-        assert expected_conditional_mvn_kl(base, q) == pytest.approx(0.0, abs=1e-12)
+        for _ in range(200):
+            base = random_ng(rng, int(rng.integers(1, 8)))
+            q = type(base)(mu=base.mu, lam=SpdMatrix(base.lam.entries.copy()),
+                           shape=rng.uniform(0.5, 4.0), rate=rng.uniform(0.5, 4.0))
+            assert expected_conditional_mvn_kl(base, q) == 0.0
 
     def test_chain_rule(self, rng):
         for _ in range(50):
@@ -363,9 +375,15 @@ class TestNonNegativity:
     def test_large_negative_raises(self):
         from ngbayes.divergence import _clamp
 
-        with pytest.raises(NegativeDivergenceError):
+        with pytest.raises(NegativeDivergenceError, match=r"to -1e-06, below"):
             _clamp(-1e-6)
         assert _clamp(-1e-12) == 0.0
+        # A batch names its first failing entry and its index, and no other entry.
+        batch = np.array([[0.5, -1e-12, 0.25], [-3e-6, 1.0, -7e-6]])
+        with pytest.raises(NegativeDivergenceError) as info:
+            _clamp(batch)
+        assert str(info.value) == ("closed-form KL evaluated to -3e-06 at index (1, 0), "
+                                   "below the rounding tolerance")
 
     def test_non_finite_raises(self):
         from ngbayes.divergence import _clamp
@@ -373,3 +391,8 @@ class TestNonNegativity:
         for value in (np.inf, np.nan, np.array([0.5, np.nan])):
             with pytest.raises(ArithmeticError, match="not a finite number"):
                 _clamp(value)
+        batch = np.array([[0.5, -1e-6, 0.25], [2.0, np.inf, np.nan]])
+        with pytest.raises(ArithmeticError) as info:
+            _clamp(batch)
+        assert str(info.value) == ("closed-form KL evaluated to inf at index (1, 1), "
+                                   "not a finite number")
