@@ -58,15 +58,17 @@ class KlEstimate:
             raise ValueError("sample count must be >= 1")
 
 
-def _clamp(value):
-    """``value`` raised to at least 0; the first bad entry raises, named (in a batch, indexed)."""
+def _clamp(value, name=None):
+    """``value`` raised to at least 0; the first bad entry raises, named by ``name(index)``, a
+    prefix, or else (in a batch) by its index."""
     for bad, error, what in ((~np.isfinite(value), ArithmeticError, "not a finite number"),
                              (value < _NEGATIVE_TOL, NegativeDivergenceError,
                               "below the rounding tolerance")):
         if np.any(bad):
-            at = np.unravel_index(np.argmax(bad), np.shape(bad))
-            index = f" at index {tuple(map(int, at))}" if np.size(value) > 1 else ""
-            raise error(f"closed-form KL evaluated to {np.asarray(value)[at]}{index}, {what}")
+            at = tuple(map(int, np.unravel_index(np.argmax(bad), np.shape(bad))))
+            index = f" at index {at}" if np.size(value) > 1 and name is None else ""
+            raise error(f"{name(at) if name else ''}closed-form KL evaluated to "
+                        f"{np.asarray(value)[at]}{index}, {what}")
     return np.maximum(value, 0.0)
 
 
@@ -105,20 +107,24 @@ def kl_mvn(p: MvNormalParams, q: MvNormalParams) -> float:
     return _clamp(_normal_kl(p.mean, p.precision, q.mean, q.precision, 1.0))
 
 
-@np.errstate(over="ignore", divide="ignore")
 def kl_gamma(p: GammaParams, q: GammaParams):
     """KL[P || Q] for two univariate gammas; exactly 0 when P equals Q."""
+    return _clamp(_gamma_kl_form(p, q))
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _gamma_kl_form(p: GammaParams, q: GammaParams):
+    """The gamma KL, unclamped: ``kl_gamma`` clamps it, and ``glm`` clamps it naming the row."""
     a1, b1 = p.shape, p.rate
     a2, b2 = q.shape, q.rate
     ratio = b1 / b2  # ln b1 - ln b2 stands in where the quotient is not a finite normal float
     normal = np.isfinite(ratio) & (ratio >= np.finfo(float).tiny)
-    value = (
+    return (
         a2 * np.where(normal, np.log(ratio), np.log(b1) - np.log(b2))
         - (log_gamma(a1) - log_gamma(a2))
         + (a1 - a2) * digamma(a1)
         - (b1 - b2) * a1 / b1
     )
-    return _clamp(value)
 
 
 def expected_conditional_mvn_kl(p: NormalGammaParams, q: NormalGammaParams):

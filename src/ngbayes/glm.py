@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import GammaParams, NormalGammaParams
-from .divergence import _clamp, _normal_kl_form, kl_gamma, kl_normal_gamma
+from .divergence import _clamp, _gamma_kl_form, _normal_kl_form, kl_normal_gamma
 from .numerics import SpdMatrix, digamma, log_gamma, logdet_spd
 
 __all__ = [
@@ -361,30 +361,33 @@ def _evidence(data: list, prior, sizes=None, where=("",)):
     f = _factor(data, prior, np.arange(len(data))[:, None], sizes, where)
     k, lead, sizes, a_n, b_n = f.r.shape[-1], f.lead, f.sizes, f.a_n, f.b_n
     g = f.a @ f.w  # [U_0; r_1] R_n^-1 per fold, for the traces: orthonormal columns if exact
-    resid = (f.a @ np.swapaxes(f.mu_n, 1, 2).reshape(len(f.a), k, -1)).reshape(
-        f.b.shape[:2] + b_n.shape[1:])  # one gemm per fold against every size's mu_n abreast
-    resid -= f.b[:, :, None, :]  # a mu_n - b per size at the reported mu_n: (F, rows, S, R)
-    quad = np.einsum("fisr,fisr->fsr", resid[:, :k], resid[:, :k])  # ||U_0 (mu_n - mu_0)||^2
-    rss = np.einsum("fisr,fisr->fsr", resid[:, k:], resid[:, k:])  # ||y - X mu_n||^2 - e
+    resid = f.a[:, None] @ f.mu_n  # a mu_n per fold and size, read in mu_n's layout: no copy
+    resid -= f.b[:, None]  # a mu_n - b at the reported mu_n: (F, S, rows, R)
+    quad = np.einsum("fsir,fsir->fsr", resid[:, :, :k], resid[:, :, :k])  # ||U_0 (mu_n - mu_0)||^2
+    rss = np.einsum("fsir,fsir->fsr", resid[:, :, k:], resid[:, :, k:])  # ||y - X mu_n||^2 - e
+    del resid  # the peak is mu_n beside its residual, not beside the (F, S, R) terms below
     diag_0, diag_n = (np.abs(np.diagonal(m, axis1=1, axis2=2)) for m in (f.a[:, :k], f.r))
     terms = np.stack([np.sum(g[:, :k] ** 2, axis=1), np.sum(g[:, k:] ** 2, axis=1),
                       2.0 * np.log(diag_0), 2.0 * np.log(diag_n)])
     trace_0, trace_x, logdet_0, logdet_n = lead @ terms[..., None]  # prefix sums per size
     logdet_p = np.reshape([d.logdet_P for d in data], f.n.shape)
     acc = _accuracy_form(f.n, logdet_p, a_n, b_n, f.e + rss, trace_x)
+    def name(at):  # at = (fold, size, column)
+        return f"{where[at[0] * len(sizes) + at[1]]}column {at[2]}: "
+    # the gamma form is checked alone too: both paths round its large-a_0 cancellation alike
+    gamma = _clamp(_gamma_kl_form(GammaParams(a_n, b_n), f.gamma_0), name)
     com = _clamp(_normal_kl_form(quad, trace_0, logdet_0 - logdet_n, sizes[:, None], a_n / b_n)
-                 + kl_gamma(GammaParams(a_n, b_n), f.gamma_0))
+                 + gamma, name)
     lme = acc - com
     direct = _direct_form(f.n, logdet_p, f.gamma_0.shape, f.gamma_0.rate, logdet_0, a_n, b_n,
                           logdet_n)
     gap = np.abs(lme - direct)
     ok = gap <= EVIDENCE_CONSISTENCY_TOL
     if not np.all(ok):
-        at = np.unravel_index(np.argmin(ok), ok.shape)  # (fold, size, column)
+        at = np.unravel_index(np.argmin(ok), ok.shape)
         raise EvidenceConsistencyError(
-            f"{where[at[0] * len(sizes) + at[1]]}column {at[2]}: decomposition LME {lme[at]} "
-            f"vs direct LME {direct[at]} differ by more than {EVIDENCE_CONSISTENCY_TOL}"
-        )
+            f"{name(at)}decomposition LME {lme[at]} vs direct LME {direct[at]} differ by more "
+            f"than {EVIDENCE_CONSISTENCY_TOL}")
     rows = (-1,) + f.batch
     return (f, ModelQuality(*(np.reshape(v, rows) for v in (lme, acc, com))),
             FitDiagnostics(evidence_gap=gap.reshape(-1, gap.shape[-1]),

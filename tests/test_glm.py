@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,10 @@ from ngbayes import (
     sample_ng,
 )
 from ngbayes import glm
-from ngbayes.experiments import PolySweepConfig, build_poly_design, run_poly_sweep
+from ngbayes.divergence import NegativeDivergenceError
+from ngbayes.experiments import (
+    PolySweepConfig, build_poly_design, equally_spaced, run_poly_sweep, simulate_polynomial,
+)
 from ngbayes.glm import (
     DegeneratePosteriorError,
     EvidenceConsistencyError,
@@ -699,6 +703,47 @@ class TestResponseMatrix:
         with pytest.raises(EvidenceConsistencyError, match="fold 0: column 2"):
             cv_model_quality(sessions)
 
+    @pytest.mark.parametrize("form", ["_gamma_kl_form", "_normal_kl_form"])
+    def test_forced_complexity_failure_names_column(self, rng, monkeypatch, form):
+        # The gamma form is clamped on its own and then in the sum, each named like the other
+        # checks: a negative form fails whichever term carries it.
+        original = getattr(glm, form)
+
+        def negative_in_column_2(*terms):
+            value = np.array(original(*terms), dtype=float)
+            value[..., 2] -= 1e3
+            return value
+
+        monkeypatch.setattr(glm, form, negative_in_column_2)
+        X = rng.standard_normal((8, 2))
+        with pytest.raises(NegativeDivergenceError, match="^column 2: closed-form KL evaluated"):
+            log_model_evidence(GlmDataset(y=rng.standard_normal((8, 4)), X=X), unit_prior(2))
+        with pytest.raises(NegativeDivergenceError,
+                           match="^fit failed at order 0: column 2: closed-form KL evaluated"):
+            run_poly_sweep(PolySweepConfig(n_simulations=4, p_max=6, master_seed=1))
+        sessions = [GlmDataset(y=rng.standard_normal((8, 3)), X=X) for _ in range(3)]
+        with pytest.raises(NegativeDivergenceError,
+                           match="^fit failed at fold 0: column 2: closed-form KL evaluated"):
+            cv_model_quality(sessions)
+
+    def test_gamma_cancellation_raises_named(self):
+        # At a_0 = b_0 = 1e9 the gamma KL's terms cancel to a negative value. Both evidence
+        # paths round the a_0-sized terms alike, so the gap misses it (n = 100: LME 2.7e-6 off
+        # the 60-digit value, gap 3.1e-7); the gamma form's own clamp must catch it.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((100, 4))
+        y = X @ rng.standard_normal(4) + rng.standard_normal(100)
+        prior = NormalGammaParams(mu=np.zeros(4), lam=SpdMatrix.identity(4), shape=1e9, rate=1e9)
+        with pytest.raises(NegativeDivergenceError, match="^column 0: closed-form KL evaluated"):
+            log_model_evidence(GlmDataset(y=y, X=X), prior)
+        config = PolySweepConfig(n_simulations=30, p_max=6, master_seed=0)
+        X = build_poly_design(equally_spaced(config.n_points), config.p_max)
+        prior = NormalGammaParams(mu=np.zeros(X.shape[1]), lam=SpdMatrix.identity(X.shape[1]),
+                                  shape=1e9, rate=1e9)
+        with pytest.raises(NegativeDivergenceError,
+                           match="^fit failed at order 0: column 0: closed-form KL evaluated"):
+            nested_log_model_evidence(GlmDataset(y=simulate_polynomial(config), X=X), prior,
+                                      np.arange(config.p_max + 1))
 
 def leading_prior(lam, m, shape, rate):
     """The zero-mean prior on the first m columns: Lambda_0's leading block."""
@@ -735,6 +780,24 @@ class TestNestedFits:
                                        kl_normal_gamma(single.posterior, prior), rtol=1e-10)
             np.testing.assert_allclose(diagnostics.mu_error_bound[order],
                                        single.diagnostics.mu_error_bound[0], rtol=1e-6)
+
+    def test_default_sweep_peak_is_mu_n_and_its_residual(self):
+        # One call holds mu_n (S, k, R) and its residual a mu_n - b (S, 2k, R) of the stacked
+        # [U_0; r]; one more copy of mu_n, in another layout, takes it to 1.4 times their bytes.
+        config = PolySweepConfig()
+        X = build_poly_design(equally_spaced(config.n_points), config.p_max)
+        data, prior = GlmDataset(y=simulate_polynomial(config), X=X), unit_prior(X.shape[1])
+        orders = np.arange(config.p_min, config.p_max + 1)
+        mu_n = 8 * len(orders) * X.shape[1] * config.n_simulations  # bytes of (S, k, R)
+        resid = 2 * mu_n  # (S, 2k, R)
+        nested_log_model_evidence(data, prior, orders)
+        tracemalloc.start()
+        try:
+            nested_log_model_evidence(data, prior, orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (mu_n + resid)
 
     def test_needs_zero_prior_mean(self, rng):
         data = GlmDataset(y=rng.standard_normal(6), X=rng.standard_normal((6, 2)))
