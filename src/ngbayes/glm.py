@@ -11,18 +11,15 @@ where U_0^T U_0 = Lambda_0. Its triangular factor R_n is Lambda_n's
 factor and gives mu_n, and 2 (b_n - b_0) is a sum of residual squares. So
 X^T X is never factored or solved with, and no quadratic form is subtracted:
 Lambda_0 + sum X^T X is summed only where a posterior is returned, for its
-displayed entries. That factor is the fit's one record: it decides a_n, the
-sizes and the response batch once, and every later step reads them there.
+displayed entries. The stack decides the response batch once, and its factor
+a_n and the sizes; every later step reads them there.
 The leading k columns of a QR factor are the factor of the leading k
 columns, so nested designs (the first k columns, for several k) are all
 read from one factor, their log-determinants, traces and residuals as
 prefix sums; a single fit is the one-size case of the same code.
 Fits also stack along a leading fold axis, one QR and one inverse for
-every fold, so a single fit is equally the one-fold case. A factor is the
-next fit's prior: its R_n with rows sign-fixed is the next U_0, that times
-mu_n the next U_0 mu_0, and a_n and b_n carry over, so
-the leave-one-session-out cross-validation is two stacked fits, every
-fold's training fit and then every fold's held-out fit.
+every fold, so a single fit is equally the one-fold case. The evidence reads
+a stack under its own fits or, in the cross-validation, under the full fit.
 
 The closed forms also take R responses (n, R) that share one design,
 which is then factored once; mu_n (k, R), b_n, accuracy, complexity and
@@ -182,21 +179,26 @@ class GlmFit:
     diagnostics: FitDiagnostics
 
 
-class _Factor(NamedTuple):
-    """A fit's one record, a row per fold: thin QR a = Q r of stacked factors, right-hand side
-    b (a column per response), and the fits it was solved for, on the first k columns for each
-    k in sizes. Solved for one size, it is also the next fit's prior (see ``_factor``)."""
+class _Stack(NamedTuple):
+    """Every fold's stacked factors and right-hand side, a row per fold (see ``_stack``)."""
 
     a: np.ndarray  # (F, rows, k): [U_0; r_1; ...; r_S], each r zero-padded to k rows
     b: np.ndarray  # (F, rows, W): [U_0 mu_0; c_1; ...; c_S], padded the same way
-    r: np.ndarray  # (F, k, k): r^T r = Lambda_n
-    w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
-    batch: tuple  # response shape of the fit: () or (R,)
-    sizes: np.ndarray  # (S,): row s's k
-    lead: np.ndarray  # (S, k): column j enters size s
     n: np.ndarray  # (F, 1, 1): the sessions' rows
     e: np.ndarray  # (F, 1, W): the sessions' residuals ||y - Q c||^2
+    logdet_p: np.ndarray  # (F, 1, 1): the sessions' ln|P|
     gamma_0: GammaParams  # the prior's shape and rate, broadcasting to (F, 1, 1) and (F, 1, W)
+    batch: tuple  # response shape of the fit: () or (R,)
+
+
+class _Factor(NamedTuple):
+    """A fit's one record, a row per fold: its stack's thin QR a = Q r, and the fits per size."""
+
+    stack: _Stack  # the fits are solved from it; cv reads another stack under the full fit
+    r: np.ndarray  # (F, k, k): r^T r = Lambda_n
+    w: np.ndarray  # r^-1, upper triangular: its leading blocks invert r's
+    sizes: np.ndarray  # (S,): row s's k
+    lead: np.ndarray  # (S, k): column j enters size s
     a_n: np.ndarray  # (F, 1, 1)
     mu_n: np.ndarray  # (F, S, k, W)
     b_n: np.ndarray  # (F, S, W)
@@ -204,61 +206,57 @@ class _Factor(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Factor:
-    """Fit every fold under the prior, row f of ``folds`` indexing the sessions fold f stacks
-    (default one fold of all); a single fit is the one-fold case. Fold f stacks its prior's U_0
-    (Lambda_0 = U_0^T U_0) over its sessions' r, each zero-padded to k rows so that one stacked
-    QR and one inverse serve every fold, and is solved for the fits on the first k columns,
-    k in ``sizes`` (default all). The prior is one NormalGammaParams for every fold, or a
-    factor solved for one size: a factor is the next fit's prior, its R_n with rows sign-fixed
-    to a positive diagonal the next U_0. With W = R_n^-1, eps ||W||_F ||R_n||_F (||mu_n|| +
-    ||W||_F sqrt(2 (b_n - b_0))) bounds ||mu_n - exact|| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 20.1); the bound is that over max(||mu_n||, sqrt(b_n / a_n) /
-    ||R_n||_F). The first failing check in fold, size and column order raises, naming the
-    column and where[f * len(sizes) + s], the row that fold and size take in diagnostics.
+def _stack(sessions: list, prior: NormalGammaParams, *folds) -> list:
+    """A _Stack per ``folds`` argument (default one fold of all), whose row f stacks the prior's
+    U_0 (Lambda_0 = U_0^T U_0) over the r of the sessions that row f indexes, and U_0 mu_0 over
+    their c. Each r and c is zero-padded to k rows, once for every stack, so that folds stack.
     Response counts broadcast: one response or prior, () or (1,), joins every column."""
-    if isinstance(prior, _Factor):
-        u_0 = prior.r * np.sign(np.diagonal(prior.r, axis1=1, axis2=2))[..., None]
-        mu_0, count = prior.mu_n[:, 0], prior.batch
-        gamma_0 = GammaParams(prior.a_n, prior.b_n[:, :1])
-    else:
-        u_0, mu_0, count = prior.lam.chol.T, prior.mu.reshape(prior.dim, -1), np.shape(prior.rate)
-        gamma_0 = prior.gamma
-    k = u_0.shape[-1]
-    counts = [count] + [s.c.shape[1:] for s in sessions]
+    k, u_0 = prior.dim, prior.lam.chol.T
+    counts = [np.shape(prior.rate)] + [s.c.shape[1:] for s in sessions]
     if any(s.p != k for s in sessions) or len(set(counts) - {(), (1,)}) > 1:
         raise ValueError(f"prior dimension {k} and response count {counts[0]} do not match design "
                          f"columns {[s.p for s in sessions]} and response counts {counts[1:]}")
     batch = np.broadcast_shapes(*counts)
-    folds = np.arange(len(sessions))[None] if folds is None else np.asarray(folds)
-    width, (n_folds, per_fold) = math.prod(batch), folds.shape
-    rs, cs, ns, es = (np.zeros((len(sessions),) + shape)
-                      for shape in ((k, k), (k, width), (1, 1), (1, width)))
+    width = math.prod(batch)
+    rs, cs, ns, es, ps = (np.zeros((len(sessions),) + shape)
+                          for shape in ((k, k), (k, width), (1, 1), (1, width), (1, 1)))
     for i, s in enumerate(sessions):  # r and c zero-padded to k rows
         rs[i, :len(s.r)], cs[i, :len(s.c)] = s.r, s.c.reshape(len(s.c), -1)
-        ns[i], es[i] = s.n, s.e
-    rows = k * (per_fold + 1)
-    a, b = np.empty((n_folds, rows, k)), np.empty((n_folds, rows, width))
-    a[:, :k], b[:, :k] = u_0, u_0 @ mu_0
-    for j, slot in enumerate(folds.T, 1):  # every fold's j-th session, in place
-        a[:, j * k:(j + 1) * k], b[:, j * k:(j + 1) * k] = rs[slot], cs[slot]
-    n, e = ns[folds].sum(axis=1), es[folds].sum(axis=1)  # summed over each fold
-    del rs, cs  # only a and b keep the padded rows: the peak is b beside its residual
-    q, r = np.linalg.qr(a)
-    w, c = np.linalg.inv(r), np.swapaxes(q, 1, 2) @ b
+        ns[i], es[i], ps[i] = s.n, s.e, s.logdet_P
+    stacks = []
+    for fold in map(np.asarray, folds or [[range(len(sessions))]]):
+        a, b = (np.empty((len(fold), k * (fold.shape[1] + 1), m.shape[-1])) for m in (rs, cs))
+        a[:, :k], b[:, :k] = u_0, u_0 @ prior.mu.reshape(k, -1)
+        a[:, k:], b[:, k:] = (m[fold].reshape(len(fold), -1, m.shape[-1]) for m in (rs, cs))
+        stacks.append(_Stack(a, b, *(v[fold].sum(1) for v in (ns, es, ps)), prior.gamma, batch))
+    return stacks
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _factor(s: _Stack, sizes=None, where=("",)) -> _Factor:
+    """Solve every fold's stack by one stacked QR and one inverse for the fits on the first k
+    columns, k in ``sizes`` (default all); a single fit is the one-fold case. With W = R_n^-1,
+    eps ||W||_F ||R_n||_F (||mu_n|| + ||W||_F sqrt(2 (b_n - b_0))) bounds ||mu_n - exact||
+    (Higham, Accuracy and Stability of Numerical Algorithms, 20.1); the bound is that over
+    max(||mu_n||, sqrt(b_n / a_n) / ||R_n||_F). The first failing check in fold, size and
+    column order raises, naming the column and where[f * len(sizes) + s], the row that fold
+    and size take in diagnostics."""
+    q, r = np.linalg.qr(s.a)
+    w, c = np.linalg.inv(r), np.swapaxes(q, 1, 2) @ s.b
+    k = r.shape[-1]
     sizes = np.array([k]) if sizes is None else sizes
     lead = np.arange(k) < sizes[:, None]
     mu_n = (w[:, None] * lead[:, None, :]) @ c[:, None]
     # 2 (b_n - b_0): the sessions' and the stack's residuals, and Q^T b past each size
     past = ~lead @ c ** 2
-    stack = q @ c
-    np.subtract(b, stack, out=stack)
+    stack = q @ c  # the peak is b beside its residual
+    np.subtract(s.b, stack, out=stack)
     stack *= stack
-    resid = e + stack.sum(axis=1, keepdims=True) + past
-    b_n = gamma_0.rate + 0.5 * resid
+    resid = s.e + stack.sum(axis=1, keepdims=True) + past
+    b_n = s.gamma_0.rate + 0.5 * resid
     w2, r2 = ((m * m).sum(axis=1).cumsum(axis=1)[:, sizes - 1, None] for m in (w, r))
     mu_norm = np.sqrt(np.einsum("fskr,fskr->fsr", mu_n, mu_n))
-    a_n = gamma_0.shape + 0.5 * n
+    a_n = s.gamma_0.shape + 0.5 * s.n
     bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
              / np.maximum(mu_norm, np.sqrt(b_n / (a_n * r2))))
     ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
@@ -269,7 +267,7 @@ def _factor(sessions: list, prior, folds=None, sizes=None, where=("",)) -> _Fact
         raise DegeneratePosteriorError(f"{where[at[0] * len(sizes) + at[1]]}posterior {what} in "
                                        f"column {at[2]}: b_n = {b_n[at]}, mu_n error bound "
                                        f"{bound[at]:.3g} (at most {MU_ERROR_TOL})")
-    return _Factor(a, b, r, w, batch, sizes, lead, n, e, gamma_0, a_n, mu_n, b_n, bound)
+    return _Factor(s, r, w, sizes, lead, a_n, mu_n, b_n, bound)
 
 
 def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGammaParams:
@@ -279,15 +277,15 @@ def fit_posterior(data: GlmDataset | list, prior: NormalGammaParams) -> NormalGa
     stacked under the prior's. The prior may be a batch of R.
     """
     parts = [data] if isinstance(data, GlmDataset) else list(data)
-    return _posterior(_factor(parts, prior),
+    return _posterior(_factor(*_stack(parts, prior)),
                       prior.lam.entries + np.sum([d.xtx for d in parts], axis=0))
 
 
 def _posterior(f: _Factor, entries) -> NormalGammaParams:
     """The posterior a one-fold factor was solved for: Lambda_n's exact ``entries`` over R_n."""
-    return NormalGammaParams(mu=f.mu_n[0, 0].reshape(f.mu_n.shape[2:3] + f.batch),
+    return NormalGammaParams(mu=f.mu_n[0, 0].reshape(f.mu_n.shape[2:3] + f.stack.batch),
                              lam=SpdMatrix.from_factor(entries, f.r[0]), shape=f.a_n.flat[0],
-                             rate=f.b_n[0, 0].reshape(f.batch))
+                             rate=f.b_n[0, 0].reshape(f.stack.batch))
 
 
 def complexity(prior: NormalGammaParams, posterior: NormalGammaParams):
@@ -346,40 +344,37 @@ def _direct_lme(data: GlmDataset, prior: NormalGammaParams, posterior: NormalGam
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _evidence(data: list, prior, sizes=None, where=("",)):
-    """Factor each fold's dataset, data[f], under the prior (see ``_factor``: one
-    NormalGammaParams for every fold, or a factor whose fold f is data[f]'s prior) and return
-    (factor, quality, diagnostics), a row per fold and size.
+def _evidence(f: _Factor, where=("",)):
+    """Quality and diagnostics, a row per fold and size, of f's stack read under f's fits,
+    solved from it or, one fold, broadcast over another stack's folds (see cv_model_quality).
 
-    Size s is the fit on the first sizes[s] columns (default all), whose prior is the leading
-    block of ``prior`` (exact when mu_0 is zero past it); traces and log-determinants are prefix
-    sums over the mask ``f.lead``, and accuracy and complexity take a mu_n - b at the factor's
-    mu_n, which is zero past its size, while b_n stays the factor's. Quality rows take the
-    factor's response shape, diagnostics a column per response. The first failing check in
-    fold, size and column order names the column and where[row], the row of that fold and size.
+    Size j is the fit on the first sizes[j] columns, whose prior is the leading block of the
+    stack's U_0 (exact when mu_0 is zero past it); traces and log-determinants are prefix sums
+    over the mask ``f.lead``, and accuracy and complexity take a mu_n - b at f's mu_n, which is
+    zero past its size, while b_n stays f's. Quality rows take the stack's response shape,
+    diagnostics a column per response. The first failing check in fold, size and column order
+    names the column and where[row], the row of that fold and size.
     """
-    f = _factor(data, prior, np.arange(len(data))[:, None], sizes, where)
-    k, lead, sizes, a_n, b_n = f.r.shape[-1], f.lead, f.sizes, f.a_n, f.b_n
-    g = f.a @ f.w  # [U_0; r_1] R_n^-1 per fold, for the traces: orthonormal columns if exact
-    resid = f.a[:, None] @ f.mu_n  # a mu_n per fold and size, read in mu_n's layout: no copy
-    resid -= f.b[:, None]  # a mu_n - b at the reported mu_n: (F, S, rows, R)
+    s, k, lead, sizes, a_n, b_n = f.stack, f.r.shape[-1], f.lead, f.sizes, f.a_n, f.b_n
+    g = s.a @ f.w  # [U_0; r_1] R_n^-1 per fold, for the traces: orthonormal columns if exact
+    resid = s.a[:, None] @ f.mu_n  # a mu_n per fold and size, read in mu_n's layout: no copy
+    resid -= s.b[:, None]  # a mu_n - b at the reported mu_n: (F, S, rows, R)
     quad = np.einsum("fsir,fsir->fsr", resid[:, :, :k], resid[:, :, :k])  # ||U_0 (mu_n - mu_0)||^2
     rss = np.einsum("fsir,fsir->fsr", resid[:, :, k:], resid[:, :, k:])  # ||y - X mu_n||^2 - e
     del resid  # the peak is mu_n beside its residual, not beside the (F, S, R) terms below
-    diag_0, diag_n = (np.abs(np.diagonal(m, axis1=1, axis2=2)) for m in (f.a[:, :k], f.r))
-    terms = np.stack([np.sum(g[:, :k] ** 2, axis=1), np.sum(g[:, k:] ** 2, axis=1),
-                      2.0 * np.log(diag_0), 2.0 * np.log(diag_n)])
-    trace_0, trace_x, logdet_0, logdet_n = lead @ terms[..., None]  # prefix sums per size
-    logdet_p = np.reshape([d.logdet_P for d in data], f.n.shape)
-    acc = _accuracy_form(f.n, logdet_p, a_n, b_n, f.e + rss, trace_x)
+    diag_0, diag_n = (np.abs(np.diagonal(m, axis1=1, axis2=2)) for m in (s.a[:, :k], f.r))
+    trace_0, trace_x, logdet_0, logdet_n = (lead @ t[..., None] for t in (  # prefix sums per size
+        np.sum(g[:, :k] ** 2, axis=1), np.sum(g[:, k:] ** 2, axis=1),
+        2.0 * np.log(diag_0), 2.0 * np.log(diag_n)))
+    acc = _accuracy_form(s.n, s.logdet_p, a_n, b_n, s.e + rss, trace_x)
     def name(at):  # at = (fold, size, column)
         return f"{where[at[0] * len(sizes) + at[1]]}column {at[2]}: "
     # the gamma form is checked alone too: both paths round its large-a_0 cancellation alike
-    gamma = _clamp(_gamma_kl_form(GammaParams(a_n, b_n), f.gamma_0), name)
+    gamma = _clamp(_gamma_kl_form(GammaParams(a_n, b_n), s.gamma_0), name)
     com = _clamp(_normal_kl_form(quad, trace_0, logdet_0 - logdet_n, sizes[:, None], a_n / b_n)
                  + gamma, name)
     lme = acc - com
-    direct = _direct_form(f.n, logdet_p, f.gamma_0.shape, f.gamma_0.rate, logdet_0, a_n, b_n,
+    direct = _direct_form(s.n, s.logdet_p, s.gamma_0.shape, s.gamma_0.rate, logdet_0, a_n, b_n,
                           logdet_n)
     gap = np.abs(lme - direct)
     ok = gap <= EVIDENCE_CONSISTENCY_TOL
@@ -388,8 +383,8 @@ def _evidence(data: list, prior, sizes=None, where=("",)):
         raise EvidenceConsistencyError(
             f"{name(at)}decomposition LME {lme[at]} vs direct LME {direct[at]} differ by more "
             f"than {EVIDENCE_CONSISTENCY_TOL}")
-    rows = (-1,) + f.batch
-    return (f, ModelQuality(*(np.reshape(v, rows) for v in (lme, acc, com))),
+    rows = (-1,) + s.batch
+    return (ModelQuality(*(np.reshape(v, rows) for v in (lme, acc, com))),
             FitDiagnostics(evidence_gap=gap.reshape(-1, gap.shape[-1]),
                            trace_residual=(trace_0 + trace_x - sizes[:, None]).ravel(),
                            mu_error_bound=f.bound.reshape(-1, gap.shape[-1])))
@@ -403,7 +398,8 @@ def log_model_evidence(data: GlmDataset, prior: NormalGammaParams) -> GlmFit:
     EVIDENCE_CONSISTENCY_TOL raises EvidenceConsistencyError naming the column.
     The diagnostics hold one row, the fit's.
     """
-    f, q, diagnostics = _evidence([data], prior)
+    f = _factor(*_stack([data], prior))
+    q, diagnostics = _evidence(f)
     return GlmFit(prior, _posterior(f, prior.lam.entries + data.xtx),
                   ModelQuality(q.lme[0], q.accuracy[0], q.complexity[0]), diagnostics)
 
@@ -421,7 +417,7 @@ def nested_log_model_evidence(data: GlmDataset, prior: NormalGammaParams, orders
     if np.any(prior.mu != 0.0) or np.any((orders < 0) | (orders >= data.p)):
         raise ValueError(f"nested fits need a zero prior mean and orders in [0, {data.p - 1}]")
     where = [f"fit failed at order {p}: " for p in orders]
-    return _evidence([data], prior, orders + 1, where)[1:]
+    return _evidence(_factor(*_stack([data], prior), orders + 1, where), where)
 
 
 @functools.cache
@@ -434,25 +430,28 @@ def reference_prior(p: int) -> NormalGammaParams:
 def cv_model_quality(sessions):
     """Leave-one-session-out cross-validated model quality and its check margins.
 
-    Fold i fits every session but i from the reference prior, and that posterior is the
-    prior of the held-out fit of session i. Each fold is one row of two stacked fits: one
-    factor holds every fold's training fit and, as it stands, is the prior of the second,
-    which holds every held-out fit. So every fold's training fit is checked before any
-    held-out fit, and a failed check of mu_n, b_n or the evidence gap names the lowest
-    failing fold and its column. Accuracy and complexity are summed over folds, per response
-    (column r of every session forms problem r), and the evidence is their difference.
-    Returns that ModelQuality and FitDiagnostics with a row per fold: the held-out fit's
-    evidence gap and trace residual, and the larger of the training and held-out fits' mu_n
-    error bounds, the check that came closer to failing. The training fit stacks the other
-    sessions' whitened factors; ln|P| does not enter it.
+    Fold i's training fit is every session but i under the reference prior; updated on session
+    i it is the full fit, as conjugate updates do not depend on order. So fold i's held-out
+    quality, LME(all) - LME(all but i), is its stack [R_-i; r_i], [R_-i mu_-i; c_i] read under
+    the full fit, and its evidence gap checks its training fit against the full one. Checks run
+    in order: the training fits (naming the fold), the full fit, each fold's complexity and gap.
+    Accuracy and complexity are summed over folds, per response (column r of every session forms
+    problem r), and the evidence is their difference. Returns that ModelQuality and a row per
+    fold of FitDiagnostics, mu_error_bound the larger of the fold's training and full fits'.
     """
     sessions = list(sessions)
     if len(sessions) < 2:
         raise ValueError("cross-validated evidence requires at least 2 sessions")
-    where = [f"fit failed at fold {i}: " for i in range(len(sessions))]
-    others = [[j for j in range(len(sessions)) if j != i] for i in range(len(sessions))]
-    trained = _factor(sessions, reference_prior(sessions[0].p), others, where=where)
-    _, q, d = _evidence(sessions, trained, where=where)
+    folds, prior = range(len(sessions)), reference_prior(sessions[0].p)
+    where = [f"fit failed at fold {i}: " for i in folds]
+    others = [[j for j in folds if j != i] for i in folds]
+    training, joint, held_out = _stack(sessions, prior, others, [folds], [[i] for i in folds])
+    trained = _factor(training, where=where)
+    full = _factor(joint, where=("fit failed at the full fit: ",))
+    # session i under training fit i, read under the full fit; no _replace: it fills a free list
+    held_out.a[:, :prior.dim], held_out.b[:, :prior.dim] = trained.r, trained.r @ trained.mu_n[:, 0]
+    q, d = _evidence(_Factor(_Stack(*held_out[:5], GammaParams(trained.a_n, trained.b_n),
+                                    held_out.batch), *full[1:]), where)
     acc, com = sum(q.accuracy), sum(q.complexity)
     return (ModelQuality(lme=acc - com, accuracy=acc, complexity=com),
-            d._replace(mu_error_bound=np.maximum(d.mu_error_bound, trained.bound[:, 0])))
+            FitDiagnostics(*d[:2], np.maximum(d.mu_error_bound, trained.bound[:, 0])))

@@ -281,12 +281,20 @@ class TestLogModelEvidence:
     def test_gap_sees_a_wrong_mu_n(self, rng, monkeypatch):
         # Accuracy and complexity take their residual at the factor's mu_n, while b_n comes
         # from the least-squares residual, so a mu_n off by d opens the gap by
-        # (a_n / b_n) d^T Lambda_n d / 2 in every kind of fit.
+        # (a_n / b_n) d^T Lambda_n d / 2 in every kind of fit. A cv fold's complexity reads its
+        # training fit's mu_n too, against the full fit's, so the gap sees that one alone.
         factor = glm._factor
 
         def off_by_1e_3(*args, **kwargs):
             f = factor(*args, **kwargs)
             return f._replace(mu_n=f.mu_n * (1.0 + 1e-3))
+
+        calls = []
+
+        def first_off_by_1e_3(*args, **kwargs):  # the first factor cv makes: its training fits
+            calls.append(factor(*args, **kwargs))
+            f = calls[-1]
+            return f._replace(mu_n=f.mu_n * (1.0 + 1e-3)) if len(calls) == 1 else f
 
         X = rng.standard_normal((40, 3))
         data = GlmDataset(y=X @ [1.0, -2.0, 0.5] + 0.1 * rng.standard_normal(40), X=X)
@@ -298,6 +306,9 @@ class TestLogModelEvidence:
             log_model_evidence(data, unit_prior(3))
         with pytest.raises(EvidenceConsistencyError, match="order 2: column 0"):
             nested_log_model_evidence(data, unit_prior(3), [2])
+        with pytest.raises(EvidenceConsistencyError, match="fold 0: column 0"):
+            cv_model_quality(sessions)
+        monkeypatch.setattr(glm, "_factor", first_off_by_1e_3)
         with pytest.raises(EvidenceConsistencyError, match="fold 0: column 0"):
             cv_model_quality(sessions)
 
@@ -451,12 +462,14 @@ class TestCrossValidatedEvidence:
         rng = np.random.default_rng(10 * R + single_at)
         p = 4
         beta = rng.standard_normal((p, R))
-        sessions = []
+        sessions, raw = [], []
         for i, (n, rho) in enumerate(((9, 0.5), (3, None), (12, -0.4), (2, 0.3), (7, None))):
             X = rng.standard_normal((n, p))
             y = X @ beta + rng.standard_normal((n, R))
+            P = np.eye(n) if rho is None else ar1_precision(n, rho)
             sessions.append(GlmDataset(y=y[:, 0] if i == single_at else y, X=X,
-                                       P=None if rho is None else SpdMatrix(ar1_precision(n, rho))))
+                                       P=None if rho is None else SpdMatrix(P)))
+            raw.append((np.repeat(y[:, :1], R, axis=1) if i == single_at else y, X, P))
         got, diagnostics = cv_model_quality(sessions)
         folds = [log_model_evidence(held_out, fit_posterior(sessions[:i] + sessions[i + 1:],
                                                             reference_prior(p))).quality
@@ -467,6 +480,15 @@ class TestCrossValidatedEvidence:
         scale = max(1.0, np.max(np.abs(want["accuracy"])), np.max(np.abs(want["complexity"])))
         for name, value in want.items():
             np.testing.assert_allclose(getattr(got, name), value, rtol=1e-12, atol=1e-12 * scale)
+
+        def joint_lme(parts):  # one fit of the concatenated sessions
+            y, X = (np.concatenate([part[j] for part in parts]) for j in (0, 1))
+            P = SpdMatrix(linalg.block_diag(*[part[2] for part in parts]))
+            return log_model_evidence(GlmDataset(y=y, X=X, P=P), reference_prior(p)).quality.lme
+
+        # The chain rule: fold i's evidence is ln p(y_i | y_-i) = LME(all) - LME(all but i).
+        chain = sum(joint_lme(raw) - joint_lme(raw[:i] + raw[i + 1:]) for i in range(5))
+        np.testing.assert_allclose(got.lme, chain, rtol=1e-12, atol=1e-12 * scale)
 
     def test_failure_names_the_failing_fold(self, monkeypatch):
         # Every design but session 3's is near-collinear, so the largest mu_n error bound sits
@@ -486,6 +508,18 @@ class TestCrossValidatedEvidence:
         monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.5 * (largest + second))
         with pytest.raises(DegeneratePosteriorError,
                            match=f"fold {fold}: posterior lost accuracy in column {column}:"):
+            cv_model_quality(sessions)
+
+    def test_full_fit_failure_names_the_full_fit(self):
+        # y is orthogonal to X, so each session's residual e = ||y||^2 is 0.22 of the largest
+        # float: four sum within the float range, five past it. Every training fit passes its
+        # checks, and the full fit's b_n overflows, named as the full fit and not as a fold.
+        y = math.sqrt(0.11 * np.finfo(float).max) * np.array([1.0, -1.0])
+        sessions = GlmDataset.sessions([y] * 5, np.ones((2, 1)))
+        assert np.all(np.isfinite(cv_model_quality(sessions[:4])[0].lme))
+        with pytest.raises(DegeneratePosteriorError, match="^fit failed at the full fit: "
+                                                           "posterior overflowed or degenerated "
+                                                           "in column 0: b_n = inf"):
             cv_model_quality(sessions)
 
     def test_factorizations_do_not_grow_with_sessions(self, rng, monkeypatch):
@@ -844,15 +878,16 @@ class TestDiagnostics:
         assert fit.diagnostics.mu_error_bound[0, 0] <= 1e-13
 
     def test_cv_bound_covers_training_fit(self, rng):
-        # Each fold reports the larger bound of its two fits; the training fit's is the larger
-        # here, and was dropped when only the held-out fit's was reported.
+        # Each fold reports the larger bound of its training fit and the full fit; the training
+        # fit's is the larger here, and was dropped when only the held-out refit's was reported.
         X = rng.standard_normal((12, 3))
         sessions = [GlmDataset(y=rng.standard_normal((12, 4)), X=X) for _ in range(4)]
         _, d = cv_model_quality(sessions)
+        full = glm._factor(*glm._stack(sessions, reference_prior(3))).bound[0]
         for i in range(4):
             training = [s for j, s in enumerate(sessions) if j != i]
-            own = glm._factor(training, reference_prior(3)).bound[0]
-            assert np.all(d.mu_error_bound[i] >= own)
+            own = glm._factor(*glm._stack(training, reference_prior(3))).bound[0]
+            assert np.all(d.mu_error_bound[i] >= np.maximum(own, full))
 
     def test_mu_error_bound_names_order_and_fold(self, monkeypatch, rng):
         monkeypatch.setattr(glm, "MU_ERROR_TOL", 0.0)
