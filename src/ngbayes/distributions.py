@@ -165,8 +165,8 @@ def logpdf_ng(x, y, params: NormalGammaParams):
     matched batches of x (m, k) and y (m,).
     """
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("normal-gamma log-density requires y > 0")
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):  # before the normal term reads y
+        raise ValueError("normal-gamma log-density requires finite y > 0")
     out = _normal_logpdf(x, params.mu, params.lam, y) + logpdf_gamma(y, params.gamma)
     return float(out) if out.ndim == 0 else out
 

@@ -15,9 +15,7 @@ and the sample count only.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -173,15 +171,17 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
     constant log-ratio.
 
     Samples come in batches of ``MC_BATCH_SIZE``, each with its own stream:
-    batch 0 draws from ``rng`` and batch b >= 1 from the Generator that
-    ``rng.spawn(1)`` returns at its turn (``SeedSequence(s, spawn_key=key +
-    (b - 1,))`` for ``rng``'s sequence ``SeedSequence(s, spawn_key=key)``). So
-    up to ``MC_BATCH_SIZE`` samples are those of one serial draw from ``rng``,
-    and the estimate depends on the seed and ``n_samples`` alone. Two worker
-    threads each draw and score whole batches, and the calling thread merges
-    them in batch order; at most three batches are in flight, so memory does
-    not grow with ``n_samples``. The error of the lowest-numbered failing
-    batch is raised, and no worker outlives the call.
+    batch 0 draws from ``rng`` and batch b >= 1 from child b - 1 of
+    ``rng.spawn`` (``SeedSequence(s, spawn_key=key + (b - 1,))`` for
+    ``rng``'s sequence ``SeedSequence(s, spawn_key=key)``). So up to
+    ``MC_BATCH_SIZE`` samples are those of one serial draw from ``rng``, and
+    the estimate depends on the seed and ``n_samples`` alone. One
+    ``Executor.map`` feeds the batches to two worker threads, each drawing and
+    scoring whole batches, and the calling thread merges them in batch order.
+    Only the two running batches hold samples; a queued batch holds its
+    stream and its future, about 2.7 KB per ``MC_BATCH_SIZE`` samples. The
+    error of the lowest-numbered failing batch is raised, the queued batches
+    are then cancelled, and no worker outlives the call.
     """
     # Imported here: at module level it would load logging into every CLI process.
     from concurrent.futures import ThreadPoolExecutor
@@ -194,28 +194,17 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
         m = min(MC_BATCH_SIZE, n_samples - start)
         return m, _score(logpdf_p, logpdf_q, sampler_p(gen, m), start)
 
-    def submitted(pool):
-        for start in range(0, n_samples, MC_BATCH_SIZE):
-            # Spawning reads rng's seed sequence only, never the state batch 0 draws from.
-            yield pool.submit(batch, rng if start == 0 else rng.spawn(1)[0], start)
-
+    starts = range(0, n_samples, MC_BATCH_SIZE)
+    # Spawning reads rng's seed sequence only, never the state batch 0 draws from.
+    streams = [rng] + rng.spawn(len(starts) - 1)
     mean = m2 = 0.0
     done = 0
     with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = submitted(pool)
-        pending = deque()
-        try:
-            pending.extend(islice(futures, 2))
-            while pending:
-                pending.extend(islice(futures, 1))  # two batches run while a third waits
-                m, (batch_mean, sq_dev) = pending.popleft().result()
-                delta = batch_mean - mean
-                m2 += sq_dev + delta * delta * done * m / (done + m)
-                mean += delta * m / (done + m)
-                done += m
-        finally:
-            for future in pending:  # after an error: drop the waiting batch, join the rest
-                future.cancel()
+        for m, (batch_mean, sq_dev) in pool.map(batch, streams, starts):
+            delta = batch_mean - mean
+            m2 += sq_dev + delta * delta * done * m / (done + m)
+            mean += delta * m / (done + m)
+            done += m
     if not math.isfinite(m2):  # an overflowing delta makes m2 inf or NaN too
         raise ArithmeticError("Monte Carlo moments overflowed when merging batches")
     se = math.sqrt(m2 / n_samples / n_samples)

@@ -185,7 +185,7 @@ class _Stack(NamedTuple):
     a: np.ndarray  # (F, rows, k): [U_0; r_1; ...; r_S], each r zero-padded to k rows
     b: np.ndarray  # (F, rows, W): [U_0 mu_0; c_1; ...; c_S], padded the same way
     n: np.ndarray  # (F, 1, 1): the sessions' rows
-    e: np.ndarray  # (F, 1, W): the sessions' residuals ||y - Q c||^2
+    e: np.ndarray  # (F, 1, W): half the sessions' residuals ||y - Q c||^2: b_n's terms
     logdet_p: np.ndarray  # (F, 1, 1): the sessions' ln|P|
     gamma_0: GammaParams  # the prior's shape and rate, broadcasting to (F, 1, 1) and (F, 1, W)
     batch: tuple  # response shape of the fit: () or (R,)
@@ -222,7 +222,7 @@ def _stack(sessions: list, prior: NormalGammaParams, *folds) -> list:
                           for shape in ((k, k), (k, width), (1, 1), (1, width), (1, 1)))
     for i, s in enumerate(sessions):  # r and c zero-padded to k rows
         rs[i, :len(s.r)], cs[i, :len(s.c)] = s.r, s.c.reshape(len(s.c), -1)
-        ns[i], es[i], ps[i] = s.n, s.e, s.logdet_P
+        ns[i], es[i], ps[i] = s.n, 0.5 * s.e, s.logdet_P
     stacks = []
     for fold in map(np.asarray, folds or [[range(len(sessions))]]):
         a, b = (np.empty((len(fold), k * (fold.shape[1] + 1), m.shape[-1])) for m in (rs, cs))
@@ -247,17 +247,17 @@ def _factor(s: _Stack, sizes=None, where=("",)) -> _Factor:
     sizes = np.array([k]) if sizes is None else sizes
     lead = np.arange(k) < sizes[:, None]
     mu_n = (w[:, None] * lead[:, None, :]) @ c[:, None]
-    # 2 (b_n - b_0): the sessions' and the stack's residuals, and Q^T b past each size
+    # b_n - b_0: half the sessions' and the stack's residuals, and of Q^T b past each size
     past = ~lead @ c ** 2
     stack = q @ c  # the peak is b beside its residual
     np.subtract(s.b, stack, out=stack)
     stack *= stack
-    resid = s.e + stack.sum(axis=1, keepdims=True) + past
-    b_n = s.gamma_0.rate + 0.5 * resid
+    half = s.e + 0.5 * stack.sum(axis=1, keepdims=True) + 0.5 * past  # b_n - b_0 before b_0 rounds it
+    b_n = s.gamma_0.rate + half
     w2, r2 = ((m * m).sum(axis=1).cumsum(axis=1)[:, sizes - 1, None] for m in (w, r))
     mu_norm = np.sqrt(np.einsum("fskr,fskr->fsr", mu_n, mu_n))
     a_n = s.gamma_0.shape + 0.5 * s.n
-    bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(w2 * resid))
+    bound = (_EPS * np.sqrt(w2 * r2) * (mu_norm + np.sqrt(2.0 * w2) * np.sqrt(half))
              / np.maximum(mu_norm, np.sqrt(b_n / (a_n * r2))))
     ok = (bound <= MU_ERROR_TOL) & (b_n > 0.0)  # a finite bound needs finite mu_n and b_n
     if not ok.all():
@@ -366,7 +366,7 @@ def _evidence(f: _Factor, where=("",)):
     trace_0, trace_x, logdet_0, logdet_n = (lead @ t[..., None] for t in (  # prefix sums per size
         np.sum(g[:, :k] ** 2, axis=1), np.sum(g[:, k:] ** 2, axis=1),
         2.0 * np.log(diag_0), 2.0 * np.log(diag_n)))
-    acc = _accuracy_form(s.n, s.logdet_p, a_n, b_n, s.e + rss, trace_x)
+    acc = _accuracy_form(s.n, s.logdet_p, a_n, b_n, 2.0 * s.e + rss, trace_x)
     def name(at):  # at = (fold, size, column)
         return f"{where[at[0] * len(sizes) + at[1]]}column {at[2]}: "
     # the gamma form is checked alone too: both paths round its large-a_0 cancellation alike

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ class TestLogpdfNg:
     def test_simple_value(self):
         p = NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(1), shape=1.0, rate=1.0)
         assert logpdf_ng([0.0], 1.0, p) == pytest.approx(-0.5 * LN_2PI - 1.0)
+
+    @pytest.mark.parametrize("y", [np.inf, np.nan])
+    def test_non_finite_y_raises_before_any_arithmetic(self, y):
+        p = NormalGammaParams(mu=[0.0], lam=SpdMatrix.identity(1), shape=1.0, rate=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite y > 0"):
+                logpdf_ng([0.5], y, p)
+            with pytest.raises(ValueError, match="finite y > 0"):
+                logpdf_ng([[0.5], [1.0]], [1.0, y], p)
 
     def test_normalizes_by_2d_quadrature(self):
         p = NormalGammaParams(mu=[0.2], lam=SpdMatrix([[1.5]]), shape=2.0, rate=1.2)

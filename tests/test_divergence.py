@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -331,10 +332,25 @@ class TestMonteCarloPipeline:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_batches_in_flight_are_bounded(self):
-        # Batch 0's scoring waits on an event: the caller may not run ahead of it.
+    def test_live_samples_stay_at_two_batches(self):
+        # Batch 0's scoring waits on an event while the other worker runs through every later
+        # batch: only the two running batches may hold samples at any time.
         n_batches = 40
-        drawn, release, seen = [], threading.Event(), []
+        lock, live, peak = threading.Lock(), [0], [0]
+        drawn, release = [], threading.Event()
+        draw = index_sampler(drawn=drawn)
+
+        def freed():
+            with lock:
+                live[0] -= 1
+
+        def sampler(gen, m):
+            samples = draw(gen, m)
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(samples, freed)
+            return samples
 
         def logpdf_p(s):
             if s[0] == 0:
@@ -343,25 +359,22 @@ class TestMonteCarloPipeline:
 
         def release_later():
             deadline = time.monotonic() + 10
-            while len(drawn) < 3 and time.monotonic() < deadline:
+            while len(drawn) < n_batches and time.monotonic() < deadline:
                 time.sleep(0.01)
-            time.sleep(0.2)  # room for any further batch to be drawn
-            seen.append(len(drawn))
             release.set()
 
         releaser = threading.Thread(target=release_later)
         releaser.start()
         try:
-            est = kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)),
-                                 index_sampler(drawn=drawn), n_batches * MC_BATCH_SIZE,
-                                 stream(0))
+            est = kl_monte_carlo(logpdf_p, lambda s: np.zeros(len(s)), sampler,
+                                 n_batches * MC_BATCH_SIZE, stream(0))
         finally:
             release.set()
             releaser.join(timeout=30)
         assert not releaser.is_alive()
-        assert seen[0] <= 3
+        assert peak[0] == 2 and live[0] == 0
         assert sorted(drawn) == list(range(n_batches))
-        assert est.value == pytest.approx((n_batches * MC_BATCH_SIZE - 1) / 2.0)
+        assert est.value == (n_batches * MC_BATCH_SIZE - 1) / 2.0
 
 
 class TestNonNegativity:

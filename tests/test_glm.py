@@ -511,16 +511,24 @@ class TestCrossValidatedEvidence:
             cv_model_quality(sessions)
 
     def test_full_fit_failure_names_the_full_fit(self):
-        # y is orthogonal to X, so each session's residual e = ||y||^2 is 0.22 of the largest
-        # float: four sum within the float range, five past it. Every training fit passes its
-        # checks, and the full fit's b_n overflows, named as the full fit and not as a fold.
-        y = math.sqrt(0.11 * np.finfo(float).max) * np.array([1.0, -1.0])
+        # y is orthogonal to X, so each session's residual e = ||y||^2 is 0.45 of the largest
+        # float: four halves sum within the float range, five past it. Every training fit passes
+        # its checks, and the full fit's b_n overflows, named as the full fit and not as a fold.
+        y = math.sqrt(0.225 * np.finfo(float).max) * np.array([1.0, -1.0])
         sessions = GlmDataset.sessions([y] * 5, np.ones((2, 1)))
         assert np.all(np.isfinite(cv_model_quality(sessions[:4])[0].lme))
         with pytest.raises(DegeneratePosteriorError, match="^fit failed at the full fit: "
                                                            "posterior overflowed or degenerated "
                                                            "in column 0: b_n = inf"):
             cv_model_quality(sessions)
+
+    def test_full_fit_sums_half_residuals(self):
+        # Each session's residual is 0.22 of the largest float: five sum past it, but b_n sums
+        # their halves, so the full fit and every fold stay finite.
+        y = math.sqrt(0.11 * np.finfo(float).max) * np.array([1.0, -1.0])
+        quality, diagnostics = cv_model_quality(GlmDataset.sessions([y] * 5, np.ones((2, 1))))
+        assert np.isfinite(quality.lme)
+        assert np.all(diagnostics.mu_error_bound <= glm.MU_ERROR_TOL)
 
     def test_factorizations_do_not_grow_with_sessions(self, rng, monkeypatch):
         X = rng.standard_normal((8, 2))
