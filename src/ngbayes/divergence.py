@@ -9,12 +9,14 @@ KLs also take batches (see ``NormalGammaParams``), one value per column. One
 Monte Carlo entry, ``kl_monte_carlo_pair``, serves every family; its
 batches run on two worker threads, each batch on its own random stream
 spawned from the caller's Generator, so the estimate depends on the seed
-and the sample count only.
+and the sample count only. Each worker draws and scores in one workspace
+that the call allocates once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,8 @@ _NEGATIVE_TOL = -1e-10
 
 # Samples per batch, and per random stream, of ``kl_monte_carlo``.
 MC_BATCH_SIZE = 1 << 16
+# Worker threads of ``kl_monte_carlo``, and so workspaces of ``kl_monte_carlo_pair``.
+_MC_WORKERS = 2
 
 
 class NegativeDivergenceError(ArithmeticError):
@@ -144,14 +148,17 @@ def kl_normal_gamma(p: NormalGammaParams, q: NormalGammaParams):
 
 
 def _score(logpdf_p, logpdf_q, samples, start):
-    """Mean and sum of squared deviations of log p - log q over one batch."""
-    diff = np.asarray(logpdf_p(samples)) - np.asarray(logpdf_q(samples))
+    """Mean and sum of squared deviations of log p - log q over one batch, formed in the
+    array ``logpdf_p`` returns."""
+    diff = np.asarray(logpdf_p(samples), dtype=float)
+    diff -= logpdf_q(samples)
     if not np.all(np.isfinite(diff)):
         bad = int(np.flatnonzero(~np.isfinite(diff))[0])
         raise ArithmeticError(f"non-finite log-density at sample {start + bad}")
     with np.errstate(over="ignore"):  # errstate is per thread: set it on this one
         batch_mean = float(np.mean(diff))
-        sq_dev = float(np.sum((diff - batch_mean) ** 2))
+        diff -= batch_mean
+        sq_dev = float(np.sum(np.square(diff, out=diff)))
     if not (math.isfinite(batch_mean) and math.isfinite(sq_dev)):
         raise ArithmeticError(f"overflow in the Monte Carlo moments from sample {start}")
     return batch_mean, sq_dev
@@ -164,11 +171,12 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
     ``rng`` is a numpy Generator, seeded by the caller, and
     ``sampler_p(rng, size)`` must draw a batch of samples from P with the
     Generator it is handed; ``logpdf_p`` / ``logpdf_q`` must accept such a
-    batch. The estimate is the sample mean of log p - log q with its standard
-    error. Batch means and sums of squared deviations are merged by Chan,
-    Golub & LeVeque (1979), not as sum(d^2)/n - mean^2, which cancels to 0
-    when the mean is large against the spread; a standard error of 0 means a
-    constant log-ratio.
+    batch and return one log-density per sample, and the array ``logpdf_p``
+    returns is overwritten by the log-ratio. The estimate is the sample mean
+    of log p - log q with its standard error. Batch means and sums of squared
+    deviations are merged by Chan, Golub & LeVeque (1979), not as
+    sum(d^2)/n - mean^2, which cancels to 0 when the mean is large against
+    the spread; a standard error of 0 means a constant log-ratio.
 
     Samples come in batches of ``MC_BATCH_SIZE``, each with its own stream:
     batch 0 draws from ``rng`` and batch b >= 1 from child b - 1 of
@@ -199,7 +207,7 @@ def kl_monte_carlo(logpdf_p, logpdf_q, sampler_p, n_samples: int,
     streams = [rng] + rng.spawn(len(starts) - 1)
     mean = m2 = 0.0
     done = 0
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(max_workers=_MC_WORKERS) as pool:
         for m, (batch_mean, sq_dev) in pool.map(batch, streams, starts):
             delta = batch_mean - mean
             m2 += sq_dev + delta * delta * done * m / (done + m)
@@ -216,14 +224,41 @@ def kl_monte_carlo_pair(p, q, n_samples: int, rng: np.random.Generator) -> KlEst
 
     The sampler and log-density are looked up by module name at each call,
     so a rebinding of those names (a tracer, a test double) is seen.
+
+    Each of the two workers draws and scores every batch it runs in one
+    workspace of (rows + 1) x ``MC_BATCH_SIZE`` floats, written through the
+    ``out`` arguments: the samples' rows (y for the gamma; x's k rows in the
+    samplers' (k, m) layout, then y, for the normal-gamma) and a row for p's
+    scores. q's scores go over the samples' first row, each block of which
+    q's log-density has read before writing it, and ``_score`` forms the
+    log-ratio and its squared deviations in p's row. The calling thread
+    allocates both workspaces as one array, so the allocator serves each
+    call from the same heap, not from whatever arena a new worker thread
+    gets. A worker thus holds (k + 2) x 2^16 x 8 B = 3.5 MiB for the
+    normal-gamma at k = 5, plus one block's scratch in its log-densities.
     """
     if isinstance(p, GammaParams):
-        sample, logpdf = sample_gamma, logpdf_gamma
+        rows, sample, logpdf = 1, sample_gamma, logpdf_gamma
+        layout = lambda w: w[0]
     elif isinstance(p, MvNormalParams):
-        sample, logpdf = sample_mvn, logpdf_mvn
+        rows, sample, logpdf = p.dim, sample_mvn, logpdf_mvn
+        layout = lambda w: w[:-1].T
     elif isinstance(p, NormalGammaParams):
-        sample, logpdf = sample_ng, lambda s, params: logpdf_ng(s[0], s[1], params)
+        rows, sample = p.dim + 1, sample_ng
+        logpdf = lambda s, params, out: logpdf_ng(s[0], s[1], params, out=out)
+        layout = lambda w: (w[:-2].T, w[-2])
     else:
         raise TypeError(f"no Monte Carlo KL for {type(p).__name__}")
-    return kl_monte_carlo(lambda s: logpdf(s, p), lambda s: logpdf(s, q),
-                          lambda r, m: sample(p, r, size=m), n_samples, rng)
+    n_samples = int(n_samples)
+    workers = min(_MC_WORKERS, len(range(0, n_samples, MC_BATCH_SIZE)))
+    free = list(np.empty((workers, (rows + 1) * min(max(n_samples, 0), MC_BATCH_SIZE))))
+    local = threading.local()  # a worker's workspace, and its current batch's view of it
+
+    def sampler(gen, m):
+        if not hasattr(local, "buffer"):
+            local.buffer = free.pop()
+        local.work = local.buffer[:(rows + 1) * m].reshape(rows + 1, m)
+        return sample(p, gen, size=m, out=layout(local.work))
+
+    return kl_monte_carlo(lambda s: logpdf(s, p, out=local.work[-1]),
+                          lambda s: logpdf(s, q, out=local.work[0]), sampler, n_samples, rng)

@@ -129,6 +129,20 @@ class TestKlCommand:
         assert err == f"numerical error: gamma sampler underflowed to 0 at shape {shape}\n"
 
     @pytest.mark.parametrize("family, p, q", [
+        ("gamma", "a=2,b=1e-308", "a=3,b=1e-308"),
+        ("ng", '{"mu": [0], "Lambda": [[1]], "a": 2, "b": 1e-308}',
+         '{"mu": [0], "Lambda": [[1]], "a": 3, "b": 1e-308}'),
+    ])
+    def test_gamma_sampler_overflow_is_named_error(self, capsys, family, p, q):
+        # The closed form is finite, but draws of scale 1e308 overflow: the sampler names its
+        # parameters, rather than a log-density blaming its input. An overflow warning would
+        # fail this test (error::RuntimeWarning).
+        status, out, err = run_cli(capsys, "kl", family, "--p", p, "--q", q,
+                                   "--check", "--mc-samples", "100000")
+        assert status == 1 and out == ""
+        assert err == "numerical error: gamma sampler overflowed at shape 2.0 and rate 1e-308\n"
+
+    @pytest.mark.parametrize("family, p, q", [
         ("mvn", "mu=[0],Lambda=[[1]]", "mu=[0],Lambda=[[1e300]]"),
         ("gamma", "a=1,b=1", "a=1e-300,b=1e300"),
     ])

@@ -20,7 +20,7 @@ from ngbayes import (
     sample_ng,
 )
 
-from ngbayes.distributions import _BLOCK, _quad_form
+from ngbayes.distributions import _BLOCK, _normal_logpdf, _quad_form
 
 from conftest import random_ng, random_spd, stream
 
@@ -125,6 +125,15 @@ class TestLogpdfNg:
                 logpdf_ng([0.5], y, p)
             with pytest.raises(ValueError, match="finite y > 0"):
                 logpdf_ng([[0.5], [1.0]], [1.0, y], p)
+
+    def test_is_its_normal_part_plus_the_gamma_bit_for_bit(self, rng):
+        # y is checked and ln y taken once for both parts; the sum must keep its bits.
+        for k, m in ((1, 5), (3, _BLOCK + 2), (5, 2 * _BLOCK + 7)):
+            p = random_ng(rng, k)
+            x = p.mu + rng.standard_normal((m, k))
+            y = rng.gamma(2.0, 1.0, m)
+            np.testing.assert_array_equal(
+                logpdf_ng(x, y, p), _normal_logpdf(x, p.mu, p.lam, y) + logpdf_gamma(y, p.gamma))
 
     def test_normalizes_by_2d_quadrature(self):
         p = NormalGammaParams(mu=[0.2], lam=SpdMatrix([[1.5]]), shape=2.0, rate=1.2)
@@ -289,3 +298,67 @@ class TestKernelBlockBoundaries:
                / np.sqrt(y_ref)).T
         np.testing.assert_array_equal(y, y_ref)
         assert_close_per_coordinate(x, ref, sd / np.sqrt(y_ref)[:, None])
+
+
+@pytest.mark.parametrize("m", [1, _BLOCK + 3, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("k", [1, 5])
+class TestOut:
+    """Samplers and log-densities writing through ``out`` give the allocating call's bits."""
+
+    @staticmethod
+    def pair(k, m):
+        rng = np.random.default_rng(100 * k + m)
+        return random_ng(rng, k), random_ng(rng, k)
+
+    def test_samplers(self, k, m):
+        p, _ = self.pair(k, m)
+        mvn = MvNormalParams(mean=p.mu, precision=p.lam)
+        x_out = np.empty((k, m)).T  # the layout the samplers return
+        x = sample_mvn(mvn, stream(m), size=m, out=x_out)
+        assert np.shares_memory(x, x_out)
+        np.testing.assert_array_equal(x_out, sample_mvn(mvn, stream(m), size=m))
+
+        y_out = np.empty(m)
+        assert sample_gamma(p.gamma, stream(m), size=m, out=y_out) is y_out
+        np.testing.assert_array_equal(y_out, sample_gamma(p.gamma, stream(m), size=m))
+
+        x_out, y_out = np.empty((k, m)).T, np.empty(m)
+        x, y = sample_ng(p, stream(m), size=m, out=(x_out, y_out))
+        assert np.shares_memory(x, x_out) and y is y_out
+        x_ref, y_ref = sample_ng(p, stream(m), size=m)
+        np.testing.assert_array_equal(x_out, x_ref)
+        np.testing.assert_array_equal(y_out, y_ref)
+
+    def test_log_densities_also_over_their_input(self, k, m):
+        # The Monte Carlo oracle writes q's scores over the samples' first column (y for the
+        # gamma): each block of out is written after that block of x and y is read.
+        p, q = self.pair(k, m)
+        x, y = sample_ng(p, stream(m), size=m)
+        mvn = MvNormalParams(mean=q.mu, precision=q.lam)
+        cases = [
+            (lambda x, y, out: logpdf_mvn(x, mvn, out=out), logpdf_mvn(x, mvn)),
+            (lambda x, y, out: logpdf_gamma(y, q.gamma, out=out), logpdf_gamma(y, q.gamma)),
+            (lambda x, y, out: logpdf_ng(x, y, q, out=out), logpdf_ng(x, y, q)),
+        ]
+        for logpdf, ref in cases:
+            for where in ("apart", "x", "y"):
+                xs, ys = x.copy(order="F"), y.copy()
+                out = {"apart": np.empty(m), "x": xs[:, 0], "y": ys}[where]
+                assert logpdf(xs, ys, out) is out
+                np.testing.assert_array_equal(out, ref)
+
+
+def test_out_layout_is_checked():
+    p = NormalGammaParams(mu=[0.0, 1.0], lam=SpdMatrix.identity(2), shape=2.0, rate=1.0)
+    mvn = MvNormalParams(mean=p.mu, precision=p.lam)
+    # numpy would fill a C-ordered (m, k) array in a different order than the draw.
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        sample_mvn(mvn, stream(0), size=10, out=np.empty((10, 2)))
+    with pytest.raises(ValueError, match="Fortran-ordered"):
+        sample_ng(p, stream(0), size=10, out=(np.empty((10, 2)), np.empty(10)))
+    x = np.zeros((10, 2))
+    for out in (np.empty(9), np.empty(10, dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            logpdf_mvn(x, mvn, out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        logpdf_gamma(np.ones((3, 4)), p.gamma, out=np.empty((4, 3)).T)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -300,10 +301,13 @@ class TestMonteCarloPipeline:
                                stream(0))
             assert threading.active_count() == before
 
-    @pytest.mark.parametrize("family", ["mvn", "ng"])
+    @pytest.mark.parametrize("family", ["gamma", "mvn", "ng"])
     def test_pair_equals_serial_loop(self, family):
         rng = np.random.default_rng(41)
-        if family == "mvn":
+        if family == "gamma":
+            p, q = random_gamma(rng), random_gamma(rng)
+            sample, logpdf = sample_gamma, logpdf_gamma
+        elif family == "mvn":
             p, q = random_mvn(rng, 5), random_mvn(rng, 5)
             sample, logpdf = sample_mvn, logpdf_mvn
         else:
@@ -313,6 +317,22 @@ class TestMonteCarloPipeline:
                                        lambda r, m: sample(p, r, size=m), self.N,
                                        stream(42))
         assert kl_monte_carlo_pair(p, q, self.N, stream(42)) == serial
+
+    @pytest.mark.parametrize("family, rows", [("mvn", 5 + 1), ("ng", 5 + 2)])
+    def test_traced_peak_is_two_workspaces(self, family, rows):
+        # Each worker holds rows x MC_BATCH_SIZE floats (samples and p's scores); 2 MiB is
+        # left for both workers' block scratch and the batches' streams and futures.
+        rng = np.random.default_rng(43)
+        make = random_mvn if family == "mvn" else random_ng
+        p, q = make(rng, 5), make(rng, 5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kl_monte_carlo_pair(p, q, 1_000_000, stream(44))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rows * MC_BATCH_SIZE * 8 + 2 * 2**20
 
     def test_out_of_order_batches_merge_in_batch_order(self):
         # Even batches finish last, so the workers complete batches out of order.
